@@ -257,6 +257,132 @@ fn script_healed_before_the_wave_matches_fault_free_exactly() {
     }
 }
 
+/// Schedule and configuration of one golden-pin regime on `grid`.
+fn golden_regime(name: &str, grid: &HexGrid) -> (Schedule, SimConfig) {
+    let width = grid.width();
+    let single = Schedule::single_pulse(vec![Time::ZERO; width as usize]);
+    let mut rng = SimRng::seed_from_u64(41);
+    let train =
+        PulseTrain::new(Scenario::Zero, 3, Duration::from_ns(300.0)).generate(width, &mut rng);
+    let base = SimConfig {
+        timing: Timing::paper_scenario_iii(),
+        record_arrivals: true,
+        ..SimConfig::fault_free()
+    };
+    match name {
+        "fault-free" => (single, base),
+        "byzantine" => (
+            single,
+            SimConfig {
+                faults: FaultPlan::none().with_node(grid.node(4, 2), NodeFault::Byzantine),
+                ..base
+            },
+        ),
+        "mixed-arbitrary" => {
+            let mut place_rng = SimRng::seed_from_u64(5);
+            let faults = FaultRegime::Mixed {
+                byzantine: 1,
+                fail_silent: 1,
+            }
+            .plan(grid, &mut place_rng);
+            let cfg = SimConfig {
+                faults,
+                init: InitState::Arbitrary,
+                ..base
+            };
+            (train, cfg)
+        }
+        "all-flags-set" => (
+            train,
+            SimConfig {
+                init: InitState::AllFlagsSet,
+                ..base
+            },
+        ),
+        "script" => {
+            let flapped = grid.graph().out_links(grid.node(1, 1))[0];
+            let script = FaultScript::burst(
+                grid.node(3, 2),
+                NodeFault::Byzantine,
+                Time::from_ns(120.0),
+                Time::from_ns(520.0),
+                RejoinState::Arbitrary,
+            )
+            .merged(FaultScript::crash_rejoin(
+                grid.node(6, 5),
+                Time::from_ns(400.0),
+                Time::from_ns(900.0),
+                RejoinState::Clean,
+            ))
+            .merged(FaultScript::link_flap(
+                flapped,
+                LinkBehavior::StuckOne,
+                Time::from_ns(700.0),
+                Time::from_ns(1_100.0),
+            ));
+            let cfg = SimConfig {
+                script: Some(script),
+                init: InitState::Arbitrary,
+                ..base
+            };
+            (train, cfg)
+        }
+        other => panic!("unknown golden regime {other:?}"),
+    }
+}
+
+/// Golden pins: the default engine path is compared with committed
+/// values, not with another implementation, so a drift of the path every
+/// workload runs fails here even when all implementations drift together.
+/// Each row pins `(fnv1a_64(VCD bytes), popped events, stale events)`.
+/// A deliberate change of engine output is re-pinned by hand from the
+/// observed triples the failure message prints.
+#[test]
+fn default_path_matches_golden_pins() {
+    use hexclock::sim::canon::fnv1a_64;
+    use hexclock::sim::{vcd_document, VcdOptions};
+
+    #[rustfmt::skip]
+    const PINS: &[(&str, u32, u32, u64, u64, u64)] = &[
+        // (regime, length, width, VCD hash, popped, stale)
+        ("fault-free",      20, 20, 0x3d33e9f56270ae86,  3620,   0),
+        ("fault-free",      50, 20, 0x7889e6b53eb1df32,  9020,   0),
+        ("byzantine",       20, 20, 0xc0e899cf4f1a8443,  3656,   3),
+        ("byzantine",       50, 20, 0x9d074984a8abc4ba,  9095,   3),
+        ("mixed-arbitrary", 20, 20, 0xaefc29af2a12d255,  9787, 155),
+        ("mixed-arbitrary", 50, 20, 0x27cba7e463102fea, 24045, 375),
+        ("all-flags-set",   20, 20, 0x78d60a666cd4a592, 10860,   0),
+        ("all-flags-set",   50, 20, 0x8145c4cf989df85e, 27060,   0),
+        ("script",          20, 20, 0x483342cb92fd6a65,  9783, 150),
+        ("script",          50, 20, 0x568f598b448edfea, 24022, 373),
+    ];
+
+    let mut scratch = SimScratch::new();
+    let mut drifted = Vec::new();
+    for &(name, length, width, hash, popped, stale) in PINS {
+        let grid = HexGrid::new(length, width);
+        let (sched, cfg) = golden_regime(name, &grid);
+        let trace = simulate_into(&mut scratch, grid.graph(), &sched, &cfg, 0x601D);
+        let vcd = vcd_document(&grid, trace, &VcdOptions::default());
+        let observed = (
+            fnv1a_64(vcd.as_bytes()),
+            scratch.popped_events(),
+            scratch.stale_events(),
+        );
+        if observed != (hash, popped, stale) {
+            drifted.push(format!(
+                "(\"{name}\", {length}, {width}, {:#018x}, {}, {}),",
+                observed.0, observed.1, observed.2
+            ));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "engine output drifted from the golden pins; observed rows:\n{}",
+        drifted.join("\n")
+    );
+}
+
 /// Scratch-reuse wall: `simulate_into` on a **dirty, reused** `SimScratch`
 /// must be byte-identical (VCD serialization) to fresh `simulate`, across
 /// the fault-free, Byzantine, and Mixed regimes and across init states.

@@ -407,32 +407,6 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Time of the earliest pending event without popping it, or `None`
-    /// when empty. Walks the ring exactly like [`pop`](CalendarQueue::pop)
-    /// — at most one lap, then the global-minimum fallback — but mutates
-    /// nothing: the window position, `now` and the counters all stay put.
-    pub fn peek_time(&self) -> Option<Time> {
-        if self.len == 0 {
-            return None;
-        }
-        let nb = self.buckets.len();
-        let mut cur = self.cur;
-        let mut window_end = self.window_end;
-        for _ in 0..nb {
-            let best = self.buckets[cur]
-                .iter()
-                .filter(|s| (Self::biased(s.at.ps()) as u128) < window_end)
-                .map(|s| s.at)
-                .min();
-            if best.is_some() {
-                return best;
-            }
-            cur = (cur + 1) % nb;
-            window_end += self.width as u128;
-        }
-        Some(self.global_min().2)
-    }
-
     /// Current simulated time (time of the last popped event).
     pub fn now(&self) -> Time {
         self.now
@@ -635,10 +609,6 @@ mod tests {
             ] {
                 push(&mut cal, &mut bin, t);
             }
-            assert_eq!(
-                cal.peek_time(),
-                Some(Time::from_ps(top - 3 * width * buckets as i64))
-            );
             assert_drains_identically(cal, bin);
         }
     }
@@ -665,28 +635,12 @@ mod tests {
             let e = bin.pop().expect("scalar twin has the event");
             assert_eq!((e.at, e.payload), (at, p));
         }
-        assert_eq!(cal.peek_time(), Some(Time::from_ps(top)));
         assert_eq!(cal.len(), 2);
-    }
-
-    /// `peek_time` mirrors `pop` (lap walk + far-future fallback) without
-    /// disturbing any observable state.
-    #[test]
-    fn peek_time_matches_pop_without_mutating() {
-        let mut q = small();
-        assert_eq!(q.peek_time(), None);
-        // Within-lap, beyond-lap (global-min fallback) and negative heads.
-        for &t in &[5i64, -300, 9_000_000, 7] {
-            q.push(Time::from_ps(t), t);
+        while let Some(e) = cal.pop() {
+            let twin = bin.pop().expect("scalar twin has the event");
+            assert_eq!((e.at, e.payload), (twin.at, twin.payload));
+            assert_eq!(e.at, Time::from_ps(top));
         }
-        while !q.is_empty() {
-            let before = (q.len(), q.now(), q.popped());
-            let peeked = q.peek_time();
-            assert_eq!((q.len(), q.now(), q.popped()), before, "peek mutated state");
-            let e = q.pop().expect("non-empty");
-            assert_eq!(peeked, Some(e.at));
-        }
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

@@ -57,11 +57,6 @@ pub trait FutureEventList<E>: sealed::Sealed {
     /// queue (with its richer return type) stays available.
     fn pop_next(&mut self) -> Option<(Time, E)>;
 
-    /// Time of the earliest pending event without popping it (`None` when
-    /// empty). Never advances time or any counter — the sharded engine
-    /// uses this to size lockstep tile windows between barriers.
-    fn peek_time(&self) -> Option<Time>;
-
     /// Current simulated time (time of the last popped event).
     fn now(&self) -> Time;
 
@@ -104,9 +99,6 @@ impl<E> FutureEventList<E> for EventQueue<E> {
     fn pop_next(&mut self) -> Option<(Time, E)> {
         EventQueue::pop(self).map(|e| (e.at, e.payload))
     }
-    fn peek_time(&self) -> Option<Time> {
-        EventQueue::peek_time(self)
-    }
     fn now(&self) -> Time {
         EventQueue::now(self)
     }
@@ -146,9 +138,6 @@ impl<E> FutureEventList<E> for QuadHeapQueue<E> {
     }
     fn pop_next(&mut self) -> Option<(Time, E)> {
         QuadHeapQueue::pop(self)
-    }
-    fn peek_time(&self) -> Option<Time> {
-        QuadHeapQueue::peek_time(self)
     }
     fn now(&self) -> Time {
         QuadHeapQueue::now(self)
@@ -190,9 +179,6 @@ impl<E> FutureEventList<E> for CalendarQueue<E> {
     fn pop_next(&mut self) -> Option<(Time, E)> {
         CalendarQueue::pop(self).map(|e| (e.at, e.payload))
     }
-    fn peek_time(&self) -> Option<Time> {
-        CalendarQueue::peek_time(self)
-    }
     fn now(&self) -> Time {
         CalendarQueue::now(self)
     }
@@ -232,9 +218,7 @@ mod tests {
         }
         let mut out = Vec::new();
         for &d in deltas {
-            let peeked = q.peek_time();
             let (t, p) = q.pop_next().expect("resident set never empties");
-            assert_eq!(peeked, Some(t), "peek_time must preview the next pop");
             out.push((t.ps(), p));
             q.push(t + Duration::from_ps(d), p);
         }
@@ -242,7 +226,6 @@ mod tests {
             out.push((t.ps(), p));
         }
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         out
     }
 

@@ -58,7 +58,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission-queue depth; requests beyond it get `busy`.
     pub queue_depth: usize,
-    /// Largest grid (length × width) a query may ask for.
+    /// Largest grid (length × width) a query may ask for, and also the
+    /// largest `cells × pulses` product: per-run setup allocates in
+    /// proportion to the pulse count.
     pub max_cells: u64,
     /// Largest run count a query may ask for.
     pub max_runs: usize,
@@ -76,11 +78,9 @@ impl ServeConfig {
     ///
     /// Engine execution knobs are inherited from the daemon's own
     /// environment rather than from clients: decoding a query spec goes
-    /// through `RunSpec::grid`, so `HEX_QUEUE`/`HEX_BATCH`/`HEX_SHARDS`
-    /// apply as they would to any local run. All three are excluded from
-    /// the canonical cache key — outputs are pinned identical across
-    /// them, so a cache entry computed sharded replays byte-identically
-    /// to one computed serially.
+    /// through `RunSpec::grid`, so `HEX_QUEUE`/`HEX_BATCH` apply as they
+    /// would to any local run. Both are excluded from the canonical
+    /// cache key — outputs are pinned identical across them.
     pub fn from_knobs() -> ServeConfig {
         ServeConfig {
             addr: knobs::raw("HEX_SERVE_ADDR").unwrap_or_else(|| "hexd.sock".to_string()),
@@ -501,16 +501,24 @@ fn admissible(cfg: &ServeConfig, query: &Query, spec: &RunSpec) -> Result<(), St
             spec.runs, cfg.max_runs
         ));
     }
-    if query.kind == QueryKind::Skew {
-        let pulses = spec
-            .schedule
-            .as_ref()
-            .map_or(spec.pulses, |s| s.pulses().max(spec.pulses));
-        if pulses > 1 {
-            return Err(format!(
-                "skew queries reduce single-pulse batches; this spec generates {pulses} pulses"
-            ));
-        }
+    let pulses = spec
+        .schedule
+        .as_ref()
+        .map_or(spec.pulses, |s| s.pulses().max(spec.pulses));
+    // Runs allocate per pulse before the first event (the layer-0 pulse
+    // train alone is width × pulses), and an allocation failure aborts
+    // the daemon rather than unwinding into `compute_failed`.
+    let cell_pulses = u64::try_from(pulses).map_or(u64::MAX, |p| cells.saturating_mul(p));
+    if cell_pulses > cfg.max_cells {
+        return Err(format!(
+            "{pulses} pulses on {cells} cells exceed {} cell-pulses",
+            cfg.max_cells
+        ));
+    }
+    if query.kind == QueryKind::Skew && pulses > 1 {
+        return Err(format!(
+            "skew queries reduce single-pulse batches; this spec generates {pulses} pulses"
+        ));
     }
     Ok(())
 }

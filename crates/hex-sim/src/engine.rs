@@ -177,15 +177,6 @@ pub struct SimConfig {
     /// this is a pure execution-strategy knob and is deliberately **not**
     /// part of the canonical run encoding.
     pub batch: bool,
-    /// Number of lockstep grid tiles one run is sharded across
-    /// (`hex_sim::shard`). 1 (the default) runs today's serial engine;
-    /// larger values partition the grid into column tiles that drain
-    /// conservative time windows in parallel. Like `queue` and `batch`
-    /// this is a pure execution-strategy knob — outputs are
-    /// shard-count-independent (pinned by the determinism wall) and the
-    /// value is deliberately **not** part of the canonical run encoding.
-    /// See [`shard_default`] for the `HEX_SHARDS` env knob.
-    pub shards: usize,
     /// Dynamic fault timeline: scheduled [`FaultTransition`]s that flip
     /// the hoisted `active`/`faulty` bitmasks (and the link-behaviour
     /// table) mid-run. `None` (or an empty script) runs the static-plan
@@ -217,22 +208,13 @@ pub fn batch_default() -> bool {
     })
 }
 
-/// The process-wide default for [`SimConfig::shards`]: 1 (serial),
-/// unless the `HEX_SHARDS` env knob names a tile count — which the CI
-/// matrix uses (`HEX_SHARDS=4`) to run the whole suite through the
-/// sharded engine. Read once and cached, like the `HEX_QUEUE` policy
-/// default; malformed or zero values abort with the uniform knob
-/// diagnostic.
+/// Always 1: each run executes on one thread (batches spread whole runs
+/// over cores, see [`crate::batch`]). Kept only because the benchmark
+/// harness prints it in its config line (`perfbench/src/main.rs:182`),
+/// and the harness changes only with a revision of the benchmark itself;
+/// delete both together then.
 pub fn shard_default() -> usize {
-    static ENV_DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *ENV_DEFAULT.get_or_init(|| {
-        let shards = crate::knobs::parsed("HEX_SHARDS", "a shard count of 1 or more").unwrap_or(1);
-        assert!(
-            shards >= 1,
-            "HEX_SHARDS must be a shard count of 1 or more, got \"0\""
-        );
-        shards
-    })
+    1
 }
 
 impl SimConfig {
@@ -248,7 +230,6 @@ impl SimConfig {
             record_arrivals: false,
             queue: QueuePolicy::default(),
             batch: batch_default(),
-            shards: shard_default(),
             script: None,
         }
     }
@@ -303,7 +284,7 @@ impl SimConfig {
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Ev {
+enum Ev {
     SourceFire {
         node: NodeId,
     },
@@ -342,26 +323,6 @@ impl Ev {
     }
 }
 
-/// Where the event handlers *schedule*. Every handler shared between the
-/// serial and the sharded engine ([`seed_events`], [`handle_one`],
-/// [`apply_transition`] and their callees) only ever pushes — popping is
-/// the drivers' business — so their queue bound is this one-method trait
-/// rather than the sealed [`FutureEventList`]. The blanket impl covers
-/// every real queue; `hex_sim::shard` adds routing sinks that forward
-/// each push to the owning tile's queue (which the sealed trait, by
-/// design, does not allow it to impersonate).
-pub(crate) trait EvSink {
-    /// Schedule `ev` at absolute time `t`.
-    fn push(&mut self, t: Time, ev: Ev);
-}
-
-impl<Q: FutureEventList<Ev>> EvSink for Q {
-    #[inline]
-    fn push(&mut self, t: Time, ev: Ev) {
-        FutureEventList::push(self, t, ev);
-    }
-}
-
 /// The scratch-resident future event list: one variant per
 /// [`QueuePolicy`], selected (and if necessary rebuilt) per run by
 /// [`SimScratch::prepare`]. The run loop matches once and monomorphizes.
@@ -375,7 +336,7 @@ enum FelQueue {
 /// The calendar ring geometry for a configuration on an `n`-node graph:
 /// bucket count tracks the resident event set (≈ one pending timer per
 /// node), one ring lap covers the maximum scheduling increment.
-pub(crate) fn calendar_geometry(cfg: &SimConfig, nodes: usize) -> (i64, usize) {
+fn calendar_geometry(cfg: &SimConfig, nodes: usize) -> (i64, usize) {
     let (_, nb) = hex_des::calendar::profile_geometry(cfg.max_increment(), nodes);
     let nb_i = nb as i64;
     let env = cfg.delays.envelope();
@@ -453,11 +414,6 @@ pub struct SimScratch {
     /// ([`simulate_observed_into`]); its slot buffers are recycled across
     /// runs like every other arena here.
     binner: PulseBinner,
-    /// Tile state of the sharded engine (`cfg.shards > 1`): per-tile
-    /// queues, node-state copies and mailbox buffers, recycled across
-    /// runs like every other arena here. Empty until the first sharded
-    /// run through this scratch.
-    shard: crate::shard::ShardScratch,
     grows: usize,
     popped_events: u64,
     stale_events: u64,
@@ -486,7 +442,6 @@ impl SimScratch {
             faulty: Vec::new(),
             out: crate::spec::RunView::default(),
             binner: PulseBinner::new(),
-            shard: crate::shard::ShardScratch::new(),
             grows: 0,
             popped_events: 0,
             stale_events: 0,
@@ -641,36 +596,36 @@ pub fn simulate(graph: &PulseGraph, schedule: &Schedule, cfg: &SimConfig, seed: 
 /// eligibility bitmasks replace `FaultPlan` probes and `role` calls, and
 /// `all_links_correct` lets [`broadcast`] skip the behaviors table in the
 /// fault-free common case.
-pub(crate) struct RunCtx<'a> {
-    pub(crate) graph: &'a PulseGraph,
-    pub(crate) cfg: &'a SimConfig,
-    pub(crate) behaviors: &'a [LinkBehavior],
-    pub(crate) delays: &'a ResolvedDelays,
+struct RunCtx<'a> {
+    graph: &'a PulseGraph,
+    cfg: &'a SimConfig,
+    behaviors: &'a [LinkBehavior],
+    delays: &'a ResolvedDelays,
     /// `role == Forwarder && !faulty`, per node.
-    pub(crate) active: &'a [bool],
+    active: &'a [bool],
     /// `FaultPlan::is_faulty`, per node.
-    pub(crate) faulty: &'a [bool],
+    faulty: &'a [bool],
     /// No faulty node and no link override anywhere.
-    pub(crate) all_links_correct: bool,
-    pub(crate) horizon: Time,
+    all_links_correct: bool,
+    horizon: Time,
 }
 
 /// Everything a run derives before the event loop, in the one canonical
 /// order. The RNG draw sequence — delays resolved first, fault behaviors
 /// second — is part of the byte-equality contract between the trace and
 /// observer entry points, so it lives in exactly one place.
-pub(crate) struct RunSetup {
-    pub(crate) sources: Vec<NodeId>,
-    pub(crate) rng: SimRng,
-    pub(crate) delays: ResolvedDelays,
-    pub(crate) behaviors: Vec<LinkBehavior>,
-    pub(crate) horizon: Time,
+struct RunSetup {
+    sources: Vec<NodeId>,
+    rng: SimRng,
+    delays: ResolvedDelays,
+    behaviors: Vec<LinkBehavior>,
+    horizon: Time,
     /// The script RNG stream (`seed ^ SCRIPT_SALT`); only ever drawn from
     /// while applying a [`FaultTransition`].
-    pub(crate) script_rng: SimRng,
+    script_rng: SimRng,
     /// Setup-resolved copy of `behaviors`, the restore table for
     /// `Heal`/`LinkUp` transitions. Empty when the run has no script.
-    pub(crate) base_behaviors: Vec<LinkBehavior>,
+    base_behaviors: Vec<LinkBehavior>,
 }
 
 /// # Panics
@@ -726,15 +681,7 @@ fn drive<O: RunObserver>(
     obs: &mut O,
     arrivals: &mut [Vec<Arrival>],
     batch_buf: &mut Vec<(Time, Ev)>,
-    shard: &mut crate::shard::ShardScratch,
 ) -> (u64, u64) {
-    if cfg.shards > 1 {
-        // The sharded engine seeds through a routing sink straight into
-        // the tile queues; the master event list stays empty.
-        return crate::shard::drive_sharded(
-            setup, graph, cfg, schedule, shard, nodes, active, faulty, obs, arrivals,
-        );
-    }
     let scripted = cfg.script.as_ref().is_some_and(|s| !s.is_empty());
     macro_rules! drain {
         ($q:expr) => {
@@ -821,7 +768,6 @@ pub fn simulate_into<'s>(
         batch_buf,
         active,
         faulty,
-        shard,
         ..
     } = scratch;
     let Trace {
@@ -830,7 +776,7 @@ pub fn simulate_into<'s>(
     let mut obs = FireLog { fires };
     let (popped, stale) = drive(
         &mut setup, graph, cfg, schedule, queue, nodes, active, faulty, &mut obs, arrivals,
-        batch_buf, shard,
+        batch_buf,
     );
 
     trace.faulty = cfg.faults.faulty_nodes();
@@ -876,14 +822,12 @@ pub fn simulate_observed_into<'s>(
         active,
         faulty,
         binner,
-        shard,
         ..
     } = scratch;
     binner.prepare(grid, schedule, d_mid, &cfg.faults.faulty_nodes());
     let arrivals = &mut trace.arrivals;
     let (popped, stale) = drive(
-        &mut setup, graph, cfg, schedule, queue, nodes, active, faulty, binner, arrivals,
-        batch_buf, shard,
+        &mut setup, graph, cfg, schedule, queue, nodes, active, faulty, binner, arrivals, batch_buf,
     );
 
     scratch.popped_events = popped;
@@ -897,7 +841,7 @@ pub fn simulate_observed_into<'s>(
 /// scalar and batched kernels — the pre-loop RNG draw order is part of
 /// their byte-equality contract.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn seed_events<Q: EvSink, O: RunObserver>(
+fn seed_events<Q: FutureEventList<Ev>, O: RunObserver>(
     q: &mut Q,
     ctx: &RunCtx<'_>,
     schedule: &Schedule,
@@ -1040,7 +984,7 @@ fn run_events<Q: FutureEventList<Ev>, O: RunObserver>(
 
 /// What one scalar event dispatch did: nothing reportable, a stale
 /// epoch-rejected pop, or a scripted-fault sentinel (ending the window).
-pub(crate) enum Step {
+enum Step {
     Done,
     Stale,
     Script(u32),
@@ -1054,7 +998,7 @@ pub(crate) enum Step {
 /// runs, where an inactive node can never own a timer in the first place.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn handle_one<Q: EvSink, O: RunObserver, const DYNAMIC: bool>(
+fn handle_one<Q: FutureEventList<Ev>, O: RunObserver, const DYNAMIC: bool>(
     now: Time,
     payload: Ev,
     ctx: &RunCtx<'_>,
@@ -1481,8 +1425,7 @@ fn drain_batches<Q: FutureEventList<Ev>, O: RunObserver, const FAULT_FREE: bool>
                                 });
                             }
                             let dur = rng.duration_in(cfg.timing.link.lo, cfg.timing.link.hi);
-                            EvSink::push(
-                                q,
+                            q.push(
                                 now + dur,
                                 Ev::LinkTimeout {
                                     node: n,
@@ -1565,7 +1508,7 @@ fn drain_batches<Q: FutureEventList<Ev>, O: RunObserver, const FAULT_FREE: bool>
 /// `(time, seq)` interleaving on the scalar and batched paths (both call
 /// this at the exact same point of the pop sequence).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_transition<Q: EvSink, O: RunObserver>(
+fn apply_transition<Q: FutureEventList<Ev>, O: RunObserver>(
     q: &mut Q,
     tr: FaultTransition,
     graph: &PulseGraph,
@@ -1716,7 +1659,7 @@ pub(crate) fn apply_transition<Q: EvSink, O: RunObserver>(
 
 /// If `node` is ready and its guard is satisfied, fire: observe the firing
 /// record, broadcast, sleep. `FAULT_FREE` only forwards to [`broadcast`].
-fn maybe_fire<Q: EvSink, O: RunObserver, const FAULT_FREE: bool>(
+fn maybe_fire<Q: FutureEventList<Ev>, O: RunObserver, const FAULT_FREE: bool>(
     node: NodeId,
     now: Time,
     ctx: &RunCtx<'_>,
@@ -1751,7 +1694,7 @@ fn maybe_fire<Q: EvSink, O: RunObserver, const FAULT_FREE: bool>(
 /// `FAULT_FREE`, where the branch is compiled out) the behaviors lookup is
 /// skipped entirely; the RNG stream is identical on both paths because
 /// every link is sampled either way.
-fn broadcast<Q: EvSink, const FAULT_FREE: bool>(
+fn broadcast<Q: FutureEventList<Ev>, const FAULT_FREE: bool>(
     node: NodeId,
     now: Time,
     ctx: &RunCtx<'_>,
@@ -1776,7 +1719,7 @@ fn broadcast<Q: EvSink, const FAULT_FREE: bool>(
 /// A stuck-at-1 in-port re-asserts its memory flag the instant it was
 /// cleared. (The `FAULT_FREE` batched kernel never calls this: fault-free
 /// implies `all_links_correct`, under which this is a no-op.)
-fn refresh_stuck_one<Q: EvSink>(
+fn refresh_stuck_one<Q: FutureEventList<Ev>>(
     node: NodeId,
     port: u8,
     now: Time,

@@ -35,10 +35,6 @@ pub const KNOWN: &[(&str, &str)] = &[
         "HEX_BATCH",
         "engine dispatch: on = bucket-batched SoA kernels (default) | off = scalar reference",
     ),
-    (
-        "HEX_SHARDS",
-        "intra-run tile shards: 1 = serial engine (default) | N = N lockstep column tiles",
-    ),
     ("HEX_EMIT", "table output format: csv | json | off"),
     ("HEX_CSV", "legacy alias for HEX_EMIT=csv (presence only)"),
     (
@@ -145,18 +141,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "HEX_SHARDS must be a shard count of 1 or more")]
-    fn malformed_shard_knob_panics_with_uniform_message() {
-        // Force the engine's process-wide shard default to initialize
-        // from the *current* (valid) environment first: afterwards every
-        // other test in this process reads the cached value, so the
-        // malformed setting below has exactly one reader — this test.
-        let _ = crate::engine::shard_default();
-        std::env::set_var("HEX_SHARDS", "three");
-        let _ = parsed::<usize>("HEX_SHARDS", "a shard count of 1 or more");
-    }
-
-    #[test]
     #[should_panic(expected = "HEX_SERVE_RETRIES must be a number of retries")]
     fn malformed_retry_knob_panics_with_uniform_message() {
         // HEX_SERVE_RETRIES is only read by the hex-serve client (a
@@ -164,18 +148,6 @@ mod tests {
         // reader here.
         std::env::set_var("HEX_SERVE_RETRIES", "several");
         let _ = parsed::<u32>("HEX_SERVE_RETRIES", "a number of retries");
-    }
-
-    #[test]
-    fn engine_knobs_are_known() {
-        // The engine's dispatch knobs go through the same tripwire; a
-        // rename in the table must fail here, not deep inside a run.
-        for name in ["HEX_QUEUE", "HEX_BATCH", "HEX_SHARDS"] {
-            assert!(
-                KNOWN.iter().any(|(n, _)| *n == name),
-                "{name} missing from KNOWN"
-            );
-        }
     }
 
     #[test]

@@ -29,10 +29,6 @@
 //!   scope` workers, work stealing, deterministic per-run seeding) for the
 //!   250-run experiment suites, with a streaming [`batch::run_batch_fold`]
 //!   map+reduce path that never materializes a whole batch;
-//! * [`shard`] — intra-run parallelism: one simulation split into
-//!   lockstep column tiles ([`SimConfig::shards`](engine::SimConfig) /
-//!   `HEX_SHARDS`), exchanging boundary events at conservative time-window
-//!   barriers, byte-identical to the serial engine;
 //! * [`vcd`] — waveform export: render any trace as an IEEE-1364 VCD
 //!   document for GTKWave-style inspection (the ModelSim-waveform
 //!   equivalent of this reproduction).
@@ -46,7 +42,6 @@ pub mod engine;
 pub mod invariants;
 pub mod knobs;
 pub mod observe;
-pub mod shard;
 pub mod soa;
 pub mod spec;
 pub mod trace;

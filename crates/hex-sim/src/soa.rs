@@ -23,7 +23,7 @@ use hex_core::node::ArbitraryEpochs;
 use hex_core::{NodeId, NodeState, PulseGraph};
 
 /// Parallel-vector node state for a whole graph. See the module docs.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct SoaNodes {
     /// Firing machine per node: `true` = `Sleeping`, `false` = `Ready`.
     sleeping: Vec<bool>,
@@ -243,33 +243,6 @@ impl SoaNodes {
             },
             flag_epochs,
         }
-    }
-
-    /// Make `self` state-identical to `other`, reusing the existing
-    /// allocations (`Vec::clone_from` per column). The sharded engine
-    /// scatters the master state into every tile copy with this after a
-    /// script instant.
-    pub fn copy_from(&mut self, other: &SoaNodes) {
-        self.sleeping.clone_from(&other.sleeping);
-        self.sleep_epochs.clone_from(&other.sleep_epochs);
-        self.port_base.clone_from(&other.port_base);
-        self.flags.clone_from(&other.flags);
-        self.flag_epochs.clone_from(&other.flag_epochs);
-    }
-
-    /// Copy the full state of one node — firing machine plus every port
-    /// flag and epoch — from a same-shape `other`. The sharded engine
-    /// gathers tile-owned nodes back into the master state with this
-    /// before serially applying a script instant.
-    pub(crate) fn copy_node_from(&mut self, other: &SoaNodes, node: NodeId) {
-        let n = node as usize;
-        debug_assert_eq!(self.port_base, other.port_base, "shape mismatch");
-        self.sleeping[n] = other.sleeping[n];
-        self.sleep_epochs[n] = other.sleep_epochs[n];
-        let lo = self.port_base[n] as usize;
-        let hi = self.port_base[n + 1] as usize;
-        self.flags[lo..hi].copy_from_slice(&other.flags[lo..hi]);
-        self.flag_epochs[lo..hi].copy_from_slice(&other.flag_epochs[lo..hi]);
     }
 
     /// Compare every observable of `node` against a [`NodeState`] reference.

@@ -296,10 +296,6 @@ pub struct RunSpec {
     /// Future-event-list implementation (byte-identical output across
     /// policies; a pure performance knob).
     pub queue: QueuePolicy,
-    /// Tile shards per run (1 = serial engine; byte-identical output at
-    /// any count; a pure performance knob, like `threads` not part of
-    /// the canonical encoding). Defaults to the `HEX_SHARDS` knob.
-    pub shards: usize,
     /// Explicit layer-0 schedule override (adversarial constructions);
     /// `None` derives the schedule from `scenario`/`pulses` per run.
     pub schedule: Option<Schedule>,
@@ -323,7 +319,6 @@ impl RunSpec {
             timing: TimingPolicy::Table3,
             delays: DelayModel::paper(),
             queue: QueuePolicy::default(),
-            shards: crate::engine::shard_default(),
             schedule: None,
         }
     }
@@ -425,14 +420,6 @@ impl RunSpec {
         self
     }
 
-    /// Set the intra-run tile-shard count (the `HEX_SHARDS` knob; 1 =
-    /// the serial engine; byte-identical output at any count).
-    pub fn shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "shard count must be 1 or more");
-        self.shards = shards;
-        self
-    }
-
     /// Use an explicit layer-0 schedule in every run instead of deriving
     /// one from the scenario (adversarial constructions, Fig. 5/17).
     pub fn schedule(mut self, schedule: Schedule) -> Self {
@@ -517,7 +504,6 @@ impl RunSpec {
             // scalar kernels are byte-identical, so the process-wide
             // `HEX_BATCH` default applies.
             batch: crate::engine::batch_default(),
-            shards: self.shards,
         };
         RunInputs {
             seed,

@@ -48,4 +48,3 @@ snapshot des_engine single_pulse
 snapshot pq pq
 snapshot batch_parallel fold_scratch
 snapshot serve serve
-snapshot shard_scaling shard_scaling

@@ -336,6 +336,23 @@ fn bad_queries_get_errors_and_the_daemon_survives() {
     let oversize = client.query(QueryKind::Skew, 0, &RunSpec::grid(4096, 1024).runs(1));
     assert!(oversize.unwrap_err().to_string().contains("bad_request"));
 
+    // Counts a decoder or a run would allocate for before the first event:
+    // a huge schedule source count, and a huge pulse train.
+    let text = String::from_utf8(encode_spec(&small_spec())).unwrap();
+    let hostile_schedule = text.replace("schedule none", "schedule 1000000000000");
+    let reply = client.query_raw(QueryKind::Skew, 0, hostile_schedule.into_bytes());
+    assert!(reply.unwrap_err().to_string().contains("bad_request"));
+    let huge_train = client.query(
+        QueryKind::Stabilize,
+        0,
+        &small_spec().pulses(1_000_000_000_000),
+    );
+    let msg = huge_train.unwrap_err().to_string();
+    assert!(
+        msg.contains("bad_request") && msg.contains("pulses"),
+        "{msg}"
+    );
+
     // Same connection still serves good queries afterwards.
     client.ping().expect("ping after errors");
     let ok = client

@@ -383,6 +383,69 @@ fn default_path_matches_golden_pins() {
     );
 }
 
+/// Golden pins of the analysis layer: the Tables 1/2 summary table and the
+/// Figs. 15/16 box-plot CSV of 16-run batches, compared with committed
+/// values, so a drift of the skew fold or the order statistics fails here
+/// even when the streaming and materialized paths drift together. Each
+/// row pins `fnv1a_64` of `skew_summary_table(..).to_json()` and of the
+/// `sweep_csv` renderings of the per-run intra and inter summaries.
+/// A deliberate change of analysis output is re-pinned by hand from the
+/// observed rows the failure message prints.
+#[test]
+fn analysis_outputs_match_golden_pins() {
+    use hexclock::analysis::boxplot::{op_boxes, sweep_csv};
+    use hexclock::analysis::reduce::skew_summary_table;
+    use hexclock::sim::canon::fnv1a_64;
+
+    #[rustfmt::skip]
+    const PINS: &[(&str, u32, u32, u64, u64, u64)] = &[
+        // (regime, length, width, table hash, intra boxes hash, inter boxes hash)
+        ("zero",              20, 20, 0x641aad3c8ac2e609, 0x45e0596c1a0e1e79, 0x8907fda34ba4a7b4),
+        ("zero",              50, 20, 0xdba9d52bc9ff32ff, 0xf9e6186d4e8a0a2c, 0xcd4baf69216d7589),
+        ("ramp-byzantine",    20, 20, 0x5fc46afc76b16818, 0x5cabf954baf6cdae, 0x8865af9d5f4d076c),
+        ("ramp-byzantine",    50, 20, 0x4953bc082d524b13, 0xf36cf0a00a877f54, 0x7d565a05fde5a78e),
+        ("dplus-fail-silent", 20, 20, 0x6109513289c89244, 0xdf895d8361c00030, 0xf9917b7d46cb158a),
+        ("dplus-fail-silent", 50, 20, 0x2379ebd09c6e69c7, 0xf30bd554b51eee9c, 0xc1e26b3dcc7b4e20),
+    ];
+
+    let mut drifted = Vec::new();
+    for &(name, length, width, table, intra, inter) in PINS {
+        let base = RunSpec::grid(length, width).runs(16).seed(0x601D);
+        let (spec, h) = match name {
+            "zero" => (base.scenario(Scenario::Zero), 0),
+            "ramp-byzantine" => (
+                base.scenario(Scenario::Ramp)
+                    .faults(FaultRegime::Byzantine(1)),
+                0,
+            ),
+            "dplus-fail-silent" => (
+                base.scenario(Scenario::RandomDPlus)
+                    .faults(FaultRegime::FailSilent(1)),
+                1,
+            ),
+            other => panic!("unknown golden regime {other:?}"),
+        };
+        let f = spec.faults.f();
+        let skews = batch_skews(&spec, h);
+        let observed = (
+            fnv1a_64(skew_summary_table(&skews).to_json().as_bytes()),
+            fnv1a_64(sweep_csv(&[(f, op_boxes(&skews.per_run_intra))]).as_bytes()),
+            fnv1a_64(sweep_csv(&[(f, op_boxes(&skews.per_run_inter))]).as_bytes()),
+        );
+        if observed != (table, intra, inter) {
+            drifted.push(format!(
+                "(\"{name}\", {length}, {width}, {:#018x}, {:#018x}, {:#018x}),",
+                observed.0, observed.1, observed.2
+            ));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "analysis output drifted from the golden pins; observed rows:\n{}",
+        drifted.join("\n")
+    );
+}
+
 /// Scratch-reuse wall: `simulate_into` on a **dirty, reused** `SimScratch`
 /// must be byte-identical (VCD serialization) to fresh `simulate`, across
 /// the fault-free, Byzantine, and Mixed regimes and across init states.

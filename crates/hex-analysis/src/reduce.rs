@@ -14,47 +14,67 @@
 //!
 //! let spec = RunSpec::grid(8, 6).scenario(Scenario::Zero).runs(4).seed(1);
 //! let skews = batch_skews(&spec, 0);
-//! assert_eq!(skews.per_run_intra.len(), 4);
+//! assert_eq!(skews.runs(), 4);
 //! // Every node pair contributes: W intra samples per layer and run.
 //! assert_eq!(skews.cumulated.intra.len(), 4 * (8 * 6) as usize);
 //! ```
 
 use hex_core::HexGrid;
-use hex_des::Time;
+use hex_des::{Duration, Time};
 use hex_sim::batch::Reducer;
 use hex_sim::spec::{RunSpec, RunView};
 use hex_sim::PulseBinner;
 
-use crate::skew::{collect_skews, collect_skews_observed, exclusion_mask, SkewSamples};
+use crate::skew::{collect_skews_with, exclusion_mask, masked_binner, masked_view, SkewSamples};
 use crate::stabilization::{
     observed_pulse_profiles, restabilization_observed, stabilization_from_profiles,
     stabilization_pulse, summarize_campaign, CampaignStats, Criterion, Restabilization,
 };
 use crate::stats::Summary;
 
-/// Cumulated skew samples + per-run summaries of a batch (the inputs of
-/// Tables 1/2, Figs. 10/11 and the box plots of Figs. 15/16).
+/// Cumulated skew samples of a batch, in run order, plus what it takes to
+/// cut them back into runs (the inputs of Tables 1/2, Figs. 10/11 and the
+/// box plots of Figs. 15/16).
 #[derive(Debug, Clone, Default)]
 pub struct BatchSkews {
-    /// All intra-layer samples across runs.
+    /// All samples across runs, each run's after the previous run's. The
+    /// per-run methods cut these vectors as the fold left them.
     pub cumulated: SkewSamples,
-    /// Per-run intra-layer summaries.
-    pub per_run_intra: Vec<Summary>,
-    /// Per-run inter-layer summaries.
-    pub per_run_inter: Vec<Summary>,
+    /// Per-run `(intra, inter)` sample counts, in run order.
+    run_counts: Vec<(usize, usize)>,
 }
 
 impl BatchSkews {
-    /// Fold one run's sample set into the aggregate (shared tail of both
-    /// extraction paths).
-    fn add_samples(&mut self, s: &SkewSamples) {
-        if let Some(sum) = Summary::from_durations(&s.intra) {
-            self.per_run_intra.push(sum);
-        }
-        if let Some(sum) = Summary::from_durations(&s.inter) {
-            self.per_run_inter.push(sum);
-        }
-        self.cumulated.extend(s);
+    /// Runs with at least one intra-layer sample (the `runs` column of
+    /// [`skew_summary_table`]).
+    pub fn runs(&self) -> usize {
+        self.run_counts
+            .iter()
+            .filter(|&&(intra, _)| intra > 0)
+            .count()
+    }
+
+    /// Per-run intra-layer summaries in run order, skipping runs without
+    /// samples. Computed on demand from [`BatchSkews::cumulated`].
+    pub fn per_run_intra(&self) -> Vec<Summary> {
+        per_run(&self.cumulated.intra, self.run_counts.iter().map(|c| c.0))
+    }
+
+    /// Per-run inter-layer summaries in run order, skipping runs without
+    /// samples. Computed on demand from [`BatchSkews::cumulated`].
+    pub fn per_run_inter(&self) -> Vec<Summary> {
+        per_run(&self.cumulated.inter, self.run_counts.iter().map(|c| c.1))
+    }
+
+    /// Append one run's samples (shared tail of both extraction paths):
+    /// the walk writes straight into [`BatchSkews::cumulated`].
+    fn add_with(&mut self, grid: &HexGrid, get: impl Fn(u32, i64) -> Option<Time>) {
+        let (intra, inter) = (self.cumulated.intra.len(), self.cumulated.inter.len());
+        collect_skews_with(grid.length(), grid.width(), get, &mut self.cumulated);
+        self.run_counts.push((
+            self.cumulated.intra.len() - intra,
+            self.cumulated.inter.len() - inter,
+        ));
     }
 
     /// Fold the skews of pulse `pulse` of one run into the aggregate
@@ -66,8 +86,7 @@ impl BatchSkews {
             rv.views.len()
         );
         let mask = exclusion_mask(grid, &rv.faulty, h);
-        let s = collect_skews(grid, &rv.views[pulse], &mask);
-        self.add_samples(&s);
+        self.add_with(grid, masked_view(grid, &rv.views[pulse], &mask));
     }
 
     /// The streaming twin of [`BatchSkews::add`]: fold pulse `pulse` of
@@ -79,16 +98,28 @@ impl BatchSkews {
             binner.pulses()
         );
         let mask = exclusion_mask(grid, binner.faulty(), h);
-        let s = collect_skews_observed(grid, binner, pulse, &mask);
-        self.add_samples(&s);
+        self.add_with(grid, masked_binner(grid, binner, pulse, &mask));
     }
 
     /// Concatenate two aggregates covering consecutive run ranges.
     fn append(&mut self, other: BatchSkews) {
         self.cumulated.extend(&other.cumulated);
-        self.per_run_intra.extend(other.per_run_intra);
-        self.per_run_inter.extend(other.per_run_inter);
+        self.run_counts.extend(other.run_counts);
     }
+}
+
+/// Summaries of the consecutive runs of `samples` that `counts` delimits,
+/// skipping empty runs.
+fn per_run(samples: &[Duration], counts: impl Iterator<Item = usize>) -> Vec<Summary> {
+    let mut rest = samples;
+    counts
+        .filter_map(|n| {
+            assert!(n <= rest.len(), "cumulated samples shrank after the fold");
+            let (run, tail) = rest.split_at(n);
+            rest = tail;
+            Summary::from_durations(run)
+        })
+        .collect()
 }
 
 /// A [`Reducer`] extracting [`BatchSkews`] from runs with `h`-hop fault
@@ -248,7 +279,7 @@ pub fn skew_summary_table(skews: &BatchSkews) -> crate::emit::Table {
             "kind", "runs", "n", "min_ns", "q05_ns", "avg_ns", "q95_ns", "max_ns", "std_ns",
         ],
     );
-    let runs = skews.per_run_intra.len();
+    let runs = skews.runs();
     for (kind, samples) in [
         ("intra", &skews.cumulated.intra),
         ("inter", &skews.cumulated.inter),
@@ -482,6 +513,7 @@ pub fn campaign_restabilization(spec: &RunSpec, criterion: &Criterion, h: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::skew::collect_skews;
     use hex_clock::Scenario;
     use hex_core::D_PLUS;
     use hex_sim::spec::FaultRegime;
@@ -503,11 +535,8 @@ mod tests {
             let sequential = batch_skews_from_views(&grid, &spec.run_batch(), 1);
             assert_eq!(streamed.cumulated.intra, sequential.cumulated.intra);
             assert_eq!(streamed.cumulated.inter, sequential.cumulated.inter);
-            assert_eq!(streamed.per_run_intra.len(), sequential.per_run_intra.len());
-            for (a, b) in streamed.per_run_intra.iter().zip(&sequential.per_run_intra) {
-                assert_eq!(a.max, b.max);
-                assert_eq!(a.avg, b.avg);
-            }
+            assert_eq!(streamed.per_run_intra(), sequential.per_run_intra());
+            assert_eq!(streamed.per_run_inter(), sequential.per_run_inter());
         }
     }
 
@@ -515,7 +544,9 @@ mod tests {
     fn batch_skews_shapes() {
         let spec = small().scenario(Scenario::Zero);
         let skews = batch_skews(&spec, 0);
-        assert_eq!(skews.per_run_intra.len(), spec.runs);
+        assert_eq!(skews.runs(), spec.runs);
+        assert_eq!(skews.per_run_intra().len(), spec.runs);
+        assert_eq!(skews.per_run_inter().len(), spec.runs);
         assert_eq!(skews.cumulated.intra.len(), spec.runs * (12 * 8) as usize);
     }
 
@@ -541,7 +572,7 @@ mod tests {
         let spec = small().runs(3).pulses(4).init(InitState::Arbitrary);
         let grid = spec.hex_grid();
         let last = spec.fold(&SkewReducer::new(&grid, 0).at_pulse(3));
-        assert_eq!(last.per_run_intra.len(), 3);
+        assert_eq!(last.runs(), 3);
         // Manually reduce pulse 3 of each run and compare.
         let mut expected = BatchSkews::default();
         for rv in spec.run_batch() {
@@ -582,11 +613,13 @@ mod tests {
                 "h = {h}"
             );
             assert_eq!(
-                observed.per_run_intra, materialized.per_run_intra,
+                observed.per_run_intra(),
+                materialized.per_run_intra(),
                 "h = {h}"
             );
             assert_eq!(
-                observed.per_run_inter, materialized.per_run_inter,
+                observed.per_run_inter(),
+                materialized.per_run_inter(),
                 "h = {h}"
             );
         }
@@ -610,7 +643,8 @@ mod tests {
                 "pulse {pulse}"
             );
             assert_eq!(
-                observed.per_run_intra, materialized.per_run_intra,
+                observed.per_run_intra(),
+                materialized.per_run_intra(),
                 "pulse {pulse}"
             );
         }

@@ -50,11 +50,18 @@ pub fn exclusion_mask(grid: &HexGrid, faulty: &[NodeId], h: usize) -> Vec<bool> 
 
 /// The shared sample walk of both extraction paths: `get(layer, col)` is
 /// the exclusion-masked triggering time (from a [`PulseView`] or a
-/// [`PulseBinner`] pulse). One canonical traversal order means the two
-/// paths produce *identical sample vectors*, not just identical
-/// statistics.
-fn collect_skews_with(l: u32, w: u32, get: impl Fn(u32, i64) -> Option<Time>) -> SkewSamples {
-    let mut out = SkewSamples::default();
+/// [`PulseBinner`] pulse), and the samples are appended to `out`. One
+/// canonical traversal order means the two paths produce *identical sample
+/// vectors*, not just identical statistics.
+// Inlined into each caller: as a shared out-of-line call the walk measured
+// ~1.4× slower on 50×20 grids.
+#[inline(always)]
+pub(crate) fn collect_skews_with(
+    l: u32,
+    w: u32,
+    get: impl Fn(u32, i64) -> Option<Time>,
+    out: &mut SkewSamples,
+) {
     for layer in 1..=l {
         for col in 0..w as i64 {
             let here = get(layer, col);
@@ -71,11 +78,10 @@ fn collect_skews_with(l: u32, w: u32, get: impl Fn(u32, i64) -> Option<Time>) ->
             }
         }
     }
-    out
 }
 
 /// The exclusion-masked time accessor of the materialized path.
-fn masked_view<'a>(
+pub(crate) fn masked_view<'a>(
     grid: &'a HexGrid,
     view: &'a PulseView,
     excluded: &'a [bool],
@@ -91,7 +97,7 @@ fn masked_view<'a>(
 }
 
 /// The exclusion-masked time accessor of the streaming path.
-fn masked_binner<'a>(
+pub(crate) fn masked_binner<'a>(
     grid: &'a HexGrid,
     binner: &'a PulseBinner,
     pulse: usize,
@@ -110,11 +116,14 @@ fn masked_binner<'a>(
 /// Collect the Definition-3 skew samples of one pulse view, skipping pairs
 /// that touch excluded or missing nodes.
 pub fn collect_skews(grid: &HexGrid, view: &PulseView, excluded: &[bool]) -> SkewSamples {
+    let mut out = SkewSamples::default();
     collect_skews_with(
         grid.length(),
         grid.width(),
         masked_view(grid, view, excluded),
-    )
+        &mut out,
+    );
+    out
 }
 
 /// [`collect_skews`] over pulse `pulse` of a streaming [`PulseBinner`]:
@@ -125,11 +134,14 @@ pub fn collect_skews_observed(
     pulse: usize,
     excluded: &[bool],
 ) -> SkewSamples {
+    let mut out = SkewSamples::default();
     collect_skews_with(
         grid.length(),
         grid.width(),
         masked_binner(grid, binner, pulse, excluded),
-    )
+        &mut out,
+    );
+    out
 }
 
 /// The shared per-layer intra-max walk of both extraction paths.

@@ -140,8 +140,8 @@ pub fn fault_sweep(base: &RunSpec, title: &str) {
         for f in 0..=5usize {
             let spec = base.clone().faults(FaultRegime::Byzantine(f));
             let skews = batch_skews(&spec, h);
-            sweep_intra.push((f, op_boxes(&skews.per_run_intra)));
-            sweep_inter.push((f, op_boxes(&skews.per_run_inter)));
+            sweep_intra.push((f, op_boxes(&skews.per_run_intra())));
+            sweep_inter.push((f, op_boxes(&skews.per_run_inter())));
         }
         println!("intra-layer:\n{}", sweep_csv(&sweep_intra));
         println!("inter-layer:\n{}", sweep_csv(&sweep_inter));
@@ -254,7 +254,7 @@ mod tests {
     fn batch_skews_nonempty() {
         let spec = RunSpec::small();
         let skews = batch_skews(&spec, 0);
-        assert_eq!(skews.per_run_intra.len(), spec.runs);
+        assert_eq!(skews.runs(), spec.runs);
         assert_eq!(
             skews.cumulated.intra.len(),
             spec.runs * (spec.length * spec.width) as usize

@@ -484,9 +484,9 @@ fn handle_query(shared: &Arc<Shared>, query: &Query) -> Response {
     }
 }
 
-/// Pre-admission guards: resource limits plus the single-pulse
-/// requirement of skew reductions (which would otherwise panic deep in
-/// `batch_skews`).
+/// Pre-admission guards: resource limits, the grid shape `HexGrid::new`
+/// accepts, and the single-pulse requirement of skew reductions (the last
+/// two would otherwise panic in the worker).
 fn admissible(cfg: &ServeConfig, query: &Query, spec: &RunSpec) -> Result<(), String> {
     let cells = u64::from(spec.length) * u64::from(spec.width);
     if cells == 0 || cells > cfg.max_cells {
@@ -494,6 +494,10 @@ fn admissible(cfg: &ServeConfig, query: &Query, spec: &RunSpec) -> Result<(), St
             "grid of {cells} cells outside (0, {}]",
             cfg.max_cells
         ));
+    }
+    // With fewer than 3 columns a node's left and right neighbours coincide.
+    if spec.width < 3 {
+        return Err(format!("grid width {} below 3", spec.width));
     }
     if spec.runs == 0 || spec.runs > cfg.max_runs {
         return Err(format!(

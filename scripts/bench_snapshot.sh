@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Perf-trajectory snapshot: run the headline benches (single_pulse /
-# pq / fold_scratch) and record the shim-harness numbers as
+# pq / fold_scratch / serve / analysis) and record the shim-harness numbers as
 # BENCH_<name>.json so future PRs can diff against a committed baseline
 # (CI uploads the fresh snapshot as an artifact on every push).
 #
@@ -48,3 +48,4 @@ snapshot des_engine single_pulse
 snapshot pq pq
 snapshot batch_parallel fold_scratch
 snapshot serve serve
+snapshot analysis analysis

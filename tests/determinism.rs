@@ -429,8 +429,8 @@ fn analysis_outputs_match_golden_pins() {
         let skews = batch_skews(&spec, h);
         let observed = (
             fnv1a_64(skew_summary_table(&skews).to_json().as_bytes()),
-            fnv1a_64(sweep_csv(&[(f, op_boxes(&skews.per_run_intra))]).as_bytes()),
-            fnv1a_64(sweep_csv(&[(f, op_boxes(&skews.per_run_inter))]).as_bytes()),
+            fnv1a_64(sweep_csv(&[(f, op_boxes(&skews.per_run_intra()))]).as_bytes()),
+            fnv1a_64(sweep_csv(&[(f, op_boxes(&skews.per_run_inter()))]).as_bytes()),
         );
         if observed != (table, intra, inter) {
             drifted.push(format!(

@@ -78,8 +78,8 @@ proptest! {
         let materialized = spec.fold(&SkewReducer::new(&grid, h).at_pulse(pulse));
         prop_assert_eq!(&observed.cumulated.intra, &materialized.cumulated.intra);
         prop_assert_eq!(&observed.cumulated.inter, &materialized.cumulated.inter);
-        prop_assert_eq!(&observed.per_run_intra, &materialized.per_run_intra);
-        prop_assert_eq!(&observed.per_run_inter, &materialized.per_run_inter);
+        prop_assert_eq!(observed.per_run_intra(), materialized.per_run_intra());
+        prop_assert_eq!(observed.per_run_inter(), materialized.per_run_inter());
 
         // Stabilization estimates against a solvable and an impossible
         // criterion.
@@ -122,7 +122,8 @@ fn observed_fold_is_thread_count_independent() {
             "threads = {threads}"
         );
         assert_eq!(
-            streamed.per_run_intra, reference.per_run_intra,
+            streamed.per_run_intra(),
+            reference.per_run_intra(),
             "threads = {threads}"
         );
     }
@@ -142,6 +143,6 @@ fn batch_skews_still_equals_materialized_reference() {
     let reference = batch_skews_from_views(&grid, &spec.run_batch(), 1);
     assert_eq!(streamed.cumulated.intra, reference.cumulated.intra);
     assert_eq!(streamed.cumulated.inter, reference.cumulated.inter);
-    assert_eq!(streamed.per_run_intra, reference.per_run_intra);
-    assert_eq!(streamed.per_run_inter, reference.per_run_inter);
+    assert_eq!(streamed.per_run_intra(), reference.per_run_intra());
+    assert_eq!(streamed.per_run_inter(), reference.per_run_inter());
 }

@@ -336,6 +336,14 @@ fn bad_queries_get_errors_and_the_daemon_survives() {
     let oversize = client.query(QueryKind::Skew, 0, &RunSpec::grid(4096, 1024).runs(1));
     assert!(oversize.unwrap_err().to_string().contains("bad_request"));
 
+    // A grid HexGrid::new refuses to build must not reach a worker.
+    let narrow = client.query(QueryKind::Skew, 0, &RunSpec::grid(8, 2).runs(1));
+    let msg = narrow.unwrap_err().to_string();
+    assert!(
+        msg.contains("bad_request") && msg.contains("width"),
+        "{msg}"
+    );
+
     // Counts a decoder or a run would allocate for before the first event:
     // a huge schedule source count, and a huge pulse train.
     let text = String::from_utf8(encode_spec(&small_spec())).unwrap();

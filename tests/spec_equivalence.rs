@@ -114,20 +114,15 @@ fn streaming_fold_equals_materialize_then_fold_at_any_thread_count() {
             "threads = {threads}: cumulated inter"
         );
         assert_eq!(
-            streamed.per_run_intra.len(),
-            reference.per_run_intra.len(),
-            "threads = {threads}"
+            streamed.per_run_intra(),
+            reference.per_run_intra(),
+            "threads = {threads}: per-run intra"
         );
-        for (i, (a, b)) in streamed
-            .per_run_intra
-            .iter()
-            .zip(&reference.per_run_intra)
-            .enumerate()
-        {
-            assert_eq!(a.n, b.n, "threads = {threads}, run {i}");
-            assert_eq!(a.avg, b.avg, "threads = {threads}, run {i}");
-            assert_eq!(a.max, b.max, "threads = {threads}, run {i}");
-        }
+        assert_eq!(
+            streamed.per_run_inter(),
+            reference.per_run_inter(),
+            "threads = {threads}: per-run inter"
+        );
     }
 }
 
@@ -218,5 +213,5 @@ fn hex_bench_drivers_ride_on_the_same_spec() {
     let skews = hex_bench::batch_skews(&spec, 0);
     let row = hex_bench::table_row(Scenario::Zero.label(), &skews);
     assert!(row.contains("(i) 0"));
-    assert_eq!(skews.per_run_intra.len(), spec.runs);
+    assert_eq!(skews.runs(), spec.runs);
 }

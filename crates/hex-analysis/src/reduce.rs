@@ -540,6 +540,27 @@ mod tests {
         }
     }
 
+    /// Per-run summaries cut `cumulated` by the recorded counts, and runs
+    /// without samples of a kind are skipped for that kind only.
+    #[test]
+    fn per_run_summaries_skip_empty_runs() {
+        let ps = |v: &[i64]| -> Vec<Duration> { v.iter().map(|&p| Duration::from_ps(p)).collect() };
+        let skews = BatchSkews {
+            cumulated: SkewSamples {
+                intra: ps(&[1, 2, 3, 40, 50]),
+                inter: ps(&[7, 8]),
+            },
+            run_counts: vec![(3, 0), (0, 1), (2, 1)],
+        };
+        let summary = |v: &[i64]| Summary::from_durations(&ps(v)).unwrap();
+        assert_eq!(skews.runs(), 2);
+        assert_eq!(
+            skews.per_run_intra(),
+            vec![summary(&[1, 2, 3]), summary(&[40, 50])]
+        );
+        assert_eq!(skews.per_run_inter(), vec![summary(&[7]), summary(&[8])]);
+    }
+
     #[test]
     fn batch_skews_shapes() {
         let spec = small().scenario(Scenario::Zero);

@@ -8,10 +8,13 @@
 //! pre-warmed spec — round-trip + disk verify only. The committed
 //! `BENCH_serve.json` snapshot quotes both; their ratio is the value of
 //! the memoized cache on repeat sweeps (ROADMAP "hexd" item).
+//! `decode_spec` times the spec decode alone, which every query pays
+//! before the cache is consulted.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hex_bench::RunSpec;
 use hex_serve::{serve, Client, QueryKind, ServeConfig};
+use hex_sim::canon::decode_spec;
 use hex_sim::{knobs, QueuePolicy};
 
 fn sweep_spec(seed: u64) -> RunSpec {
@@ -71,6 +74,13 @@ fn bench_serve(c: &mut Criterion) {
             assert!(reply.cached, "warm query missed the cache");
             reply.payload.len()
         })
+    });
+
+    // The daemon's per-query parse of the canonical spec bytes, hit or
+    // miss alike.
+    g.bench_function("decode_spec", |b| {
+        let bytes = sweep_spec(1).canonical_bytes();
+        b.iter(|| decode_spec(&bytes).expect("canonical bytes decode"))
     });
 
     g.finish();

@@ -16,7 +16,8 @@
 //!    code;
 //! 3. **unseeded-rng** — RNG construction flows from the seed policy,
 //!    never entropy;
-//! 4. **env-knob** — `std::env::var` only in `hex_sim::knobs`;
+//! 4. **env-knob** — `std::env::var` only in `hex_sim::knobs`, and
+//!    `available_parallelism` only in `hex_sim::batch`;
 //! 5. **sealed-impl** — sealed engine traits implemented only in their
 //!    home modules;
 //! 6. **forbid-unsafe** — every crate root carries

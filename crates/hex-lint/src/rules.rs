@@ -23,6 +23,11 @@ pub const SIM_CRATES: [&str; 4] = ["hex-des", "hex-core", "hex-sim", "hex-clock"
 /// ([`Rule::EnvKnob`]'s designated home).
 pub const KNOB_MODULE: &str = "crates/hex-sim/src/knobs.rs";
 
+/// The single module allowed to probe the host's core count
+/// (`available_parallelism`): `hex_sim::batch::default_threads` resolves
+/// it once per process, and everything else asks that function.
+pub const PROBE_MODULE: &str = "crates/hex-sim/src/batch.rs";
+
 /// Files exempt from [`Rule::WallClock`] besides benches and `hex-bench`:
 /// table/CSV emission may timestamp its output.
 pub const EMIT_MODULE: &str = "crates/hex-analysis/src/emit.rs";
@@ -67,7 +72,9 @@ pub enum Rule {
     /// RNG construction from entropy instead of the run's seed policy.
     UnseededRng,
     /// `std::env::var` outside the designated knob module, so `HEX_*`
-    /// behavior stays enumerable in one place.
+    /// behavior stays enumerable in one place; likewise the host's core
+    /// count (`available_parallelism`) outside [`PROBE_MODULE`], whose
+    /// cached probe every other caller shares.
     EnvKnob,
     /// `impl` of a sealed trait outside its home module.
     SealedImpl,
@@ -130,7 +137,8 @@ impl Rule {
             }
             Rule::EnvKnob => {
                 "read environment knobs through hex_sim::knobs so HEX_* behavior stays \
-                 enumerable in one module"
+                 enumerable in one module, and the core count through \
+                 hex_sim::batch::default_threads, which probes the host once per process"
             }
             Rule::SealedImpl => {
                 "implement sealed engine traits only in their home module, where the \
@@ -505,14 +513,14 @@ fn rule_unseeded_rng(ctx: &FileCtx, sig: &[&Tok], findings: &mut Vec<Finding>) {
 }
 
 fn rule_env_knob(ctx: &FileCtx, sig: &[&Tok], findings: &mut Vec<Finding>) {
-    if ctx.rel_path == KNOB_MODULE {
-        return;
-    }
+    let knob_home = ctx.rel_path == KNOB_MODULE;
+    let probe_home = ctx.rel_path == PROBE_MODULE;
     for (i, t) in sig.iter().enumerate() {
-        let reads_env = (t.is_ident("var")
-            || t.is_ident("var_os")
-            || t.is_ident("vars")
-            || t.is_ident("vars_os"))
+        let reads_env = !knob_home
+            && (t.is_ident("var")
+                || t.is_ident("var_os")
+                || t.is_ident("vars")
+                || t.is_ident("vars_os"))
             && i >= 2
             && sig[i - 1].is_punct("::")
             && sig[i - 2].is_ident("env");
@@ -523,6 +531,15 @@ fn rule_env_knob(ctx: &FileCtx, sig: &[&Tok], findings: &mut Vec<Finding>) {
                 t,
                 Rule::EnvKnob,
                 format!("environment read `env::{}` outside the knob module", t.text),
+            );
+        } else if !probe_home && t.is_ident("available_parallelism") {
+            push(
+                findings,
+                ctx,
+                t,
+                Rule::EnvKnob,
+                "host probe `available_parallelism` outside hex_sim::batch::default_threads"
+                    .to_string(),
             );
         }
     }
@@ -747,6 +764,28 @@ mod tests {
             vec![Rule::EnvKnob]
         );
         assert!(lint_at("crates/hex-sim/src/knobs.rs", src).is_empty());
+    }
+
+    #[test]
+    fn host_probe_flagged_outside_batch_module() {
+        let src = "let n = std::thread::available_parallelism();\n";
+        for path in [
+            "crates/hex-serve/src/server.rs",
+            "crates/hex-sim/src/knobs.rs",
+            "crates/hex-bench/benches/batch_parallel.rs",
+            "tests/serve.rs",
+        ] {
+            let findings = lint_at(path, src);
+            assert_eq!(rules_of(&findings), vec![Rule::EnvKnob], "{path}");
+            assert!(findings[0].message.contains("available_parallelism"));
+        }
+        assert!(lint_at("crates/hex-sim/src/batch.rs", src).is_empty());
+        // An environment read in the probe's home is still a finding.
+        let env = "let v = std::env::var(\"HEX_RUNS\");\n";
+        assert_eq!(
+            rules_of(&lint_at("crates/hex-sim/src/batch.rs", env)),
+            vec![Rule::EnvKnob]
+        );
     }
 
     #[test]

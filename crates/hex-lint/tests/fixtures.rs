@@ -48,7 +48,7 @@ const CASES: [(Rule, &str, &str, &str, usize); 7] = [
         "bad_env_knob.rs",
         "allowed_env_knob.rs",
         "crates/hex-core/src/fixture.rs",
-        2,
+        3,
     ),
     (
         Rule::SealedImpl,

@@ -13,3 +13,8 @@ pub fn dump() {
         println!("{k}={v}");
     }
 }
+
+pub fn threads() -> usize {
+    // hexlint: allow(env-knob, reason = "fixture: uncached host probe")
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}

@@ -190,14 +190,19 @@ pub enum Response {
 // ---------------------------------------------------------------------------
 // Framing.
 
-/// Write one frame: 4-byte big-endian length, then the payload.
+/// Write one frame: 4-byte big-endian length, then the payload, handed to
+/// the writer in a single `write_all`. Two writes would wake a peer
+/// blocked in [`read_frame`] on the length alone, only for its payload
+/// read to sleep again until the second write lands.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     let len = u32::try_from(payload.len()).map_err(|_| oversize(payload.len() as u64))?;
     if len > MAX_FRAME {
         return Err(oversize(len as u64));
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -425,6 +430,40 @@ mod tests {
         // peer closing at a boundary and reads as EOF by design.)
         let mut t = &buf[..6];
         assert!(read_frame(&mut t).is_err());
+    }
+
+    /// A `Write` that takes every byte it is offered and counts the
+    /// `write` calls that offered them.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let payload = encode_request(&Request::Query(query()));
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &payload).unwrap();
+        assert_eq!(w.writes, 1, "length and payload must go out together");
+        let mut r = &w.bytes[..];
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), payload);
+        assert!(
+            read_frame(&mut r).unwrap().is_none(),
+            "bytes after the frame"
+        );
     }
 
     #[test]

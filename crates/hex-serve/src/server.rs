@@ -3,8 +3,10 @@
 //!
 //! ## Request life cycle
 //!
-//! A query's hash is checked against, in order: the on-disk cache (hit →
-//! replay, `cached=1`), the in-flight map (another connection is already
+//! A query's spec bytes are decoded and validated once, on admission; a
+//! queued job hands the decoded spec to its worker. The query's hash is
+//! then checked against, in order: the on-disk cache (hit → replay,
+//! `cached=1`), the in-flight map (another connection is already
 //! computing the same hash → wait on its [`Flight`] and replay the same
 //! bytes, `cached=1`), and finally the bounded admission queue (full →
 //! `busy` backpressure; otherwise a new flight is registered and exactly
@@ -35,6 +37,7 @@ use std::thread::JoinHandle;
 use hex_analysis::reduce::{batch_skews, skew_summary_table, ObservedStabilizationReducer};
 use hex_analysis::stabilization::{stabilization_summary_table, summarize, Criterion};
 use hex_core::D_PLUS;
+use hex_sim::batch::default_threads;
 use hex_sim::canon::{decode_spec, engine_version};
 use hex_sim::{knobs, RunSpec};
 
@@ -184,9 +187,13 @@ impl Flight {
     }
 }
 
+/// A queued computation: the query as admission decoded it, so the
+/// worker never parses the spec bytes a second time.
 struct Job {
     hash: u64,
-    query: Query,
+    kind: QueryKind,
+    h: usize,
+    spec: RunSpec,
     flight: Arc<Flight>,
 }
 
@@ -285,7 +292,7 @@ pub fn serve(cfg: ServeConfig) -> io::Result<ServerHandle> {
     let addr = listener.local_addr();
     let cache = Cache::open(&cfg.cache_dir, cfg.cache_max_mb)?;
     let workers = if cfg.workers == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        default_threads()
     } else {
         cfg.workers
     };
@@ -358,8 +365,8 @@ fn worker_loop(shared: &Arc<Shared>) {
                 q = shared.queue_ready.wait(q).unwrap();
             }
         };
-        let result = catch_unwind(AssertUnwindSafe(|| compute(&job.query)))
-            .unwrap_or_else(|p| Err(panic_message(p.as_ref())));
+        let result = catch_unwind(AssertUnwindSafe(|| compute(job.kind, job.h, &job.spec)))
+            .map_err(|p| panic_message(p.as_ref()));
         shared.counters.computations.fetch_add(1, Ordering::Relaxed);
         {
             // Store and deregister as one atom (see `Shared::memo`).
@@ -466,7 +473,9 @@ fn handle_query(shared: &Arc<Shared>, query: &Query) -> Response {
             memo.inflight.insert(hash, flight.clone());
             q.push_back(Job {
                 hash,
-                query: query.clone(),
+                kind: query.kind,
+                h: query.h,
+                spec,
                 flight: flight.clone(),
             });
             shared.queue_ready.notify_one();
@@ -529,22 +538,22 @@ fn admissible(cfg: &ServeConfig, query: &Query, spec: &RunSpec) -> Result<(), St
 
 /// Run the reduction a query describes. Deterministic: the payload is a
 /// pure function of the query (the serve tests pin cold == warm bytes).
-fn compute(query: &Query) -> Result<Vec<u8>, String> {
-    let spec = decode_spec(&query.spec_bytes)?;
-    let table = match query.kind {
-        QueryKind::Skew => skew_summary_table(&batch_skews(&spec, query.h)),
+/// The only failure is a panic (e.g. an infeasible fault placement),
+/// which the worker turns into `compute_failed`.
+fn compute(kind: QueryKind, h: usize, spec: &RunSpec) -> Vec<u8> {
+    let table = match kind {
+        QueryKind::Skew => skew_summary_table(&batch_skews(spec, h)),
         QueryKind::Stabilize => {
             let grid = spec.hex_grid();
             // Same criterion as `hexctl stabilize`: pulse period within
             // 3·d+ of uniform, d+ tolerance, over the full grid length.
             let criteria = [Criterion::uniform(D_PLUS * 3, D_PLUS, grid.length())];
-            let estimates = spec.fold_observed(&ObservedStabilizationReducer::new(
-                &grid, &criteria, query.h,
-            ));
+            let estimates =
+                spec.fold_observed(&ObservedStabilizationReducer::new(&grid, &criteria, h));
             stabilization_summary_table(&summarize(&estimates[0]))
         }
     };
-    Ok(table.to_json().into_bytes())
+    table.to_json().into_bytes()
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

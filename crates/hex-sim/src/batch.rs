@@ -270,8 +270,23 @@ where
     parts.into_iter().map(|(_, acc)| acc).fold(empty(), merge)
 }
 
-/// The machine's available parallelism (≥ 1).
+/// The machine's available parallelism (≥ 1), resolved once per process
+/// and cached, like the `HEX_QUEUE` and `HEX_BATCH` defaults. On Linux
+/// each `available_parallelism` call re-reads the process's cgroup CPU
+/// quota files, which costs more than the rest of a spec decode, and
+/// `RunSpec::grid` (so every `hexd` query) asks for this value. A quota
+/// changed while the process runs is not picked up. hex-lint's `env-knob`
+/// rule keeps this the only call site of the probe.
 pub fn default_threads() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(probe_cores)
+}
+
+/// The one-time probe behind [`default_threads`], kept cold and out of
+/// line so that callers inline only the cached load.
+#[cold]
+#[inline(never)]
+fn probe_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

@@ -381,6 +381,38 @@ fn bad_queries_get_errors_and_the_daemon_survives() {
     cleanup(&cfg);
 }
 
+/// A query that passes admission but panics in the worker (more Byzantine
+/// nodes than the 8×6 grid's 48 forwarders, so the fault placement
+/// panics) answers `compute_failed`, is never cached, and leaves the
+/// daemon serving.
+#[test]
+fn panicking_computations_answer_compute_failed() {
+    let cfg = test_config("panic");
+    let handle = serve(cfg.clone()).expect("start hexd");
+    let mut client = Client::connect(&handle.addr()).expect("connect");
+
+    let poisoned = small_spec().faults(FaultRegime::Byzantine(100));
+    for attempt in ["first", "repeat"] {
+        let reply = client.query(QueryKind::Skew, 0, &poisoned);
+        let msg = reply.unwrap_err().to_string();
+        assert!(msg.contains("compute_failed"), "{attempt}: {msg}");
+    }
+
+    client.ping().expect("ping after a panic");
+    let ok = client
+        .query(QueryKind::Skew, 0, &small_spec())
+        .expect("good query");
+    assert!(!ok.cached && !ok.payload.is_empty());
+
+    drop(client);
+    let stats = handle.shutdown();
+    assert_eq!(stats.computations, 3, "the repeat must recompute");
+    assert_eq!(stats.failures, 2);
+    assert_eq!(stats.cache_hits, 0);
+    assert_eq!(stats.cache_entries, 1, "failures must not be cached");
+    cleanup(&cfg);
+}
+
 /// Crash recovery: a daemon that died between `fs::write` and
 /// `fs::rename` leaves an orphaned `.tmp` sibling, and a torn entry can
 /// be left by a truncated write. A cold start over that directory must

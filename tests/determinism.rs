@@ -327,6 +327,49 @@ fn golden_regime(name: &str, grid: &HexGrid) -> (Schedule, SimConfig) {
             };
             (train, cfg)
         }
+        // The Tables 1/2 engine config: generous timing, no recorded
+        // arrivals. Its 10 µs sleeps lie beyond the calendar's ring lap.
+        "generous-fail-silent" => (
+            single,
+            SimConfig {
+                faults: FaultPlan::none().with_node(grid.node(4, 2), NodeFault::FailSilent),
+                ..SimConfig::fault_free()
+            },
+        ),
+        "all-asleep" => (
+            train,
+            SimConfig {
+                init: InitState::AllAsleep,
+                ..base
+            },
+        ),
+        // Two transitions at one instant (400 ns): a heal and a fail.
+        "same-instant-script" => {
+            let script = FaultScript::none()
+                .with(
+                    Time::from_ns(40.0),
+                    FaultEvent::Fail(grid.node(3, 2), NodeFault::Byzantine),
+                )
+                .with(
+                    Time::from_ns(400.0),
+                    FaultEvent::Heal(grid.node(3, 2), RejoinState::Arbitrary),
+                )
+                .with(
+                    Time::from_ns(400.0),
+                    FaultEvent::Fail(grid.node(1, 4), NodeFault::FailSilent),
+                )
+                .with(
+                    Time::from_ns(700.0),
+                    FaultEvent::Heal(grid.node(1, 4), RejoinState::Clean),
+                );
+            (
+                train,
+                SimConfig {
+                    script: Some(script),
+                    ..base
+                },
+            )
+        }
         other => panic!("unknown golden regime {other:?}"),
     }
 }
@@ -355,6 +398,12 @@ fn default_path_matches_golden_pins() {
         ("all-flags-set",   50, 20, 0x8145c4cf989df85e, 27060,   0),
         ("script",          20, 20, 0x483342cb92fd6a65,  9783, 150),
         ("script",          50, 20, 0x568f598b448edfea, 24022, 373),
+        ("generous-fail-silent", 20, 20, 0x0a9fe73bb9c631b3, 3607, 794),
+        ("generous-fail-silent", 50, 20, 0x388047b000d626a8, 9007, 1994),
+        ("all-asleep",      20, 20, 0xc61c980d34e9d5c0,  7740,   0),
+        ("all-asleep",      50, 20, 0x42fcb9add5a2b0e9, 19140,   0),
+        ("same-instant-script", 20, 20, 0xbe6144e89ecb6221, 10878, 11),
+        ("same-instant-script", 50, 20, 0x5fdb0b36bcc4b384, 27078, 10),
     ];
 
     let mut scratch = SimScratch::new();

@@ -709,12 +709,11 @@ mod tests {
 
     /// A scripted crash + clean rejoin between two pulses: every run
     /// re-stabilizes, and the run-major accumulator is identical across
-    /// queue policies and worker-thread counts (the campaign sweep's
-    /// byte-identity claim, through the streaming observed fold).
+    /// worker-thread counts (the campaign sweep's byte-identity claim,
+    /// through the streaming observed fold).
     #[test]
-    fn campaign_restabilization_recovers_and_is_policy_invariant() {
+    fn campaign_restabilization_recovers_and_is_thread_invariant() {
         use hex_core::{FaultScript, RejoinState};
-        use hex_sim::QueuePolicy;
 
         let base = RunSpec::grid(8, 6).runs(4).threads(2).pulses(6).seed(11);
         let grid = base.hex_grid();
@@ -742,14 +741,12 @@ mod tests {
             &grid, &crit, &times, 0,
         ));
         assert_eq!(reference.len(), 4);
-        for policy in QueuePolicy::ALL {
-            for threads in [1usize, 3] {
-                let leg = spec.clone().queue(policy).threads(threads);
-                let acc = leg.fold_observed(&ObservedRestabilizationReducer::new(
-                    &grid, &crit, &times, 0,
-                ));
-                assert_eq!(acc, reference, "{policy:?} × {threads} threads diverged");
-            }
+        for threads in [1usize, 3] {
+            let leg = spec.clone().threads(threads);
+            let acc = leg.fold_observed(&ObservedRestabilizationReducer::new(
+                &grid, &crit, &times, 0,
+            ));
+            assert_eq!(acc, reference, "{threads} threads diverged");
         }
     }
 

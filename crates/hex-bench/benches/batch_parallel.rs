@@ -15,8 +15,7 @@ use hex_bench::{zero_schedule, ObservedSkewReducer, RunSpec, SkewReducer};
 use hex_core::{HexGrid, D_PLUS};
 use hex_sim::batch::{default_threads, run_batch_fold_with, Reducer};
 use hex_sim::{
-    run_batch, run_batch_fold, simulate, simulate_into, InitState, QueuePolicy, SimConfig,
-    SimScratch,
+    run_batch, run_batch_fold, simulate, simulate_into, InitState, SimConfig, SimScratch,
 };
 
 struct SumFires;
@@ -77,32 +76,6 @@ fn bench_batch(c: &mut Criterion) {
                     || 0usize,
                     |scratch, acc, run| {
                         *acc += simulate_into(scratch, grid.graph(), &sched, &cfg, run as u64)
-                            .total_fires();
-                    },
-                    |left, right| left + right,
-                )
-            })
-        },
-    );
-    // The same sweep under the runner-up queue policy (`fold_scratch`
-    // above runs the default calendar ring): the batch-level leg of the
-    // three-way `QueuePolicy` ablation (identical output).
-    let alt_cfg = SimConfig {
-        queue: QueuePolicy::BinaryHeap,
-        ..SimConfig::fault_free()
-    };
-    g.bench_with_input(
-        BenchmarkId::new("fold_scratch_binary_heap_threads", all),
-        &all,
-        |b, &t| {
-            b.iter(|| {
-                run_batch_fold_with(
-                    runs,
-                    t,
-                    SimScratch::new,
-                    || 0usize,
-                    |scratch, acc, run| {
-                        *acc += simulate_into(scratch, grid.graph(), &sched, &alt_cfg, run as u64)
                             .total_fires();
                     },
                     |left, right| left + right,

@@ -1,14 +1,14 @@
 //! Engine microbenchmarks: event-queue throughput and single-pulse
-//! simulation cost as a function of grid size, including the three-way
-//! `QueuePolicy` ablation on the flagship `single_pulse/grid/100x40`
-//! workload (recorded by `scripts/bench_snapshot.sh` into
-//! `BENCH_single_pulse.json`; the winner ships as the engine default).
+//! simulation cost as a function of grid size, the stabilization regime,
+//! the dispatch regimes of the batch kernel and scripted fault campaigns
+//! (recorded by `scripts/bench_snapshot.sh` into
+//! `BENCH_single_pulse.json`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use hex_bench::zero_schedule;
 use hex_core::HexGrid;
 use hex_des::{EventQueue, Time};
-use hex_sim::{simulate, simulate_into, QueuePolicy, SimConfig, SimScratch};
+use hex_sim::{simulate, simulate_into, SimConfig, SimScratch};
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
@@ -70,40 +70,16 @@ fn bench_single_pulse(c: &mut Criterion) {
                 })
             },
         );
-        // The queue-policy ablation on the scratch path (the batch hot
-        // configuration): identical output, different future event list.
-        // `grid_scratch` above runs the engine default; these rows name
-        // each policy explicitly so the snapshot JSON is self-describing.
-        for policy in QueuePolicy::ALL {
-            let cfg = SimConfig {
-                queue: policy,
-                ..SimConfig::fault_free()
-            };
-            g.bench_with_input(
-                BenchmarkId::new(
-                    format!("grid_scratch_{}", policy.label()),
-                    format!("{l}x{w}"),
-                ),
-                &grid,
-                |b, grid| {
-                    let mut scratch = SimScratch::new();
-                    let mut seed = 0u64;
-                    b.iter(|| {
-                        seed += 1;
-                        simulate_into(&mut scratch, grid.graph(), &sched, &cfg, seed).total_fires()
-                    })
-                },
-            );
-        }
     }
     g.finish();
 }
 
 /// The stabilization regime — Table 3 (iii) timeouts, arbitrary init, an
-/// 8-pulse train — under each queue policy. Here every scheduling
-/// increment is tightly bounded (`max(T+_sleep) ≈ 95 ns`), the workload
-/// shape the calendar ring is sized for; the single-pulse groups above
-/// cover the generous-timeout regime where the sleep horizon dominates.
+/// 8-pulse train. Here every scheduling increment is tightly bounded
+/// (`max(T+_sleep) ≈ 95 ns`), the workload shape the calendar ring is
+/// sized for; the single-pulse groups above cover the generous-timeout
+/// regime where the sleep horizon dominates. The row keeps its
+/// `calendar` label, the name it had when two other queues ran beside it.
 fn bench_multi_pulse(c: &mut Criterion) {
     use hex_clock::{PulseTrain, Scenario};
     use hex_core::Timing;
@@ -115,127 +91,65 @@ fn bench_multi_pulse(c: &mut Criterion) {
     let grid = HexGrid::new(20, 20);
     let mut rng = SimRng::seed_from_u64(7);
     let sched = PulseTrain::new(Scenario::Zero, 8, Duration::from_ns(300.0)).generate(20, &mut rng);
-    for policy in QueuePolicy::ALL {
-        let cfg = SimConfig {
-            timing: Timing::paper_scenario_iii(),
-            init: InitState::Arbitrary,
-            queue: policy,
-            ..SimConfig::fault_free()
-        };
-        g.bench_with_input(
-            BenchmarkId::new("stabilization_20x20", policy.label()),
-            &grid,
-            |b, grid| {
-                let mut scratch = SimScratch::new();
-                let mut seed = 0u64;
-                b.iter(|| {
-                    seed += 1;
-                    simulate_into(&mut scratch, grid.graph(), &sched, &cfg, seed).total_fires()
-                })
-            },
-        );
-    }
+    let cfg = SimConfig {
+        timing: Timing::paper_scenario_iii(),
+        init: InitState::Arbitrary,
+        ..SimConfig::fault_free()
+    };
+    g.bench_with_input(
+        BenchmarkId::new("stabilization_20x20", "calendar"),
+        &grid,
+        |b, grid| {
+            let mut scratch = SimScratch::new();
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                simulate_into(&mut scratch, grid.graph(), &sched, &cfg, seed).total_fires()
+            })
+        },
+    );
     g.finish();
 }
 
-/// Batched SoA dispatch against the scalar reference on the same
-/// workloads, same queue (engine default): the rows differ only in
-/// `SimConfig::batch`. `single_pulse_*` is the fault-free fast-path
-/// regime (whole-batch masks let the kernel skip every fault and role
-/// check); `single_pulse_byzantine_*` keeps one Byzantine node so the
-/// guarded batched kernel is measured too; `stabilization_*` is the
-/// multi-pulse arbitrary-init regime. The committed
-/// `BENCH_single_pulse.json` snapshot records these rows — batched must
-/// not lose to scalar there.
+/// The masked batch kernel: one Byzantine node keeps every window off the
+/// fault-free kernel, so each event pays its fault and role checks. (The
+/// fault-free kernel is `single_pulse/grid_scratch`, the multi-pulse
+/// arbitrary-init regime `multi_pulse/stabilization_20x20/calendar`.)
+/// The row keeps its `_batched` name from when a scalar driver ran beside
+/// it.
 fn bench_dispatch(c: &mut Criterion) {
-    use hex_clock::{PulseTrain, Scenario};
     use hex_core::{FaultPlan, NodeFault, Timing};
-    use hex_des::{Duration, SimRng};
-    use hex_sim::InitState;
 
     let mut g = c.benchmark_group("dispatch");
     g.sample_size(20);
-    for (l, w) in [(50u32, 20u32), (100, 40)] {
-        let grid = HexGrid::new(l, w);
-        let sched = zero_schedule(w);
-        for (label, batch) in [("scalar", false), ("batched", true)] {
-            let cfg = SimConfig {
-                batch,
-                ..SimConfig::fault_free()
-            };
-            g.bench_with_input(
-                BenchmarkId::new(format!("single_pulse_{label}"), format!("{l}x{w}")),
-                &grid,
-                |b, grid| {
-                    let mut scratch = SimScratch::new();
-                    let mut seed = 0u64;
-                    b.iter(|| {
-                        seed += 1;
-                        simulate_into(&mut scratch, grid.graph(), &sched, &cfg, seed).total_fires()
-                    })
-                },
-            );
-        }
-    }
-    {
-        let grid = HexGrid::new(50, 20);
-        let sched = zero_schedule(20);
-        for (label, batch) in [("scalar", false), ("batched", true)] {
-            let cfg = SimConfig {
-                batch,
-                faults: FaultPlan::none().with_node(grid.node(10, 10), NodeFault::Byzantine),
-                timing: Timing::paper_scenario_iii(),
-                ..SimConfig::fault_free()
-            };
-            g.bench_with_input(
-                BenchmarkId::new(format!("single_pulse_byzantine_{label}"), "50x20"),
-                &grid,
-                |b, grid| {
-                    let mut scratch = SimScratch::new();
-                    let mut seed = 0u64;
-                    b.iter(|| {
-                        seed += 1;
-                        simulate_into(&mut scratch, grid.graph(), &sched, &cfg, seed).total_fires()
-                    })
-                },
-            );
-        }
-    }
-    {
-        let grid = HexGrid::new(20, 20);
-        let mut rng = SimRng::seed_from_u64(7);
-        let sched =
-            PulseTrain::new(Scenario::Zero, 8, Duration::from_ns(300.0)).generate(20, &mut rng);
-        for (label, batch) in [("scalar", false), ("batched", true)] {
-            let cfg = SimConfig {
-                batch,
-                timing: Timing::paper_scenario_iii(),
-                init: InitState::Arbitrary,
-                ..SimConfig::fault_free()
-            };
-            g.bench_with_input(
-                BenchmarkId::new(format!("stabilization_{label}"), "20x20"),
-                &grid,
-                |b, grid| {
-                    let mut scratch = SimScratch::new();
-                    let mut seed = 0u64;
-                    b.iter(|| {
-                        seed += 1;
-                        simulate_into(&mut scratch, grid.graph(), &sched, &cfg, seed).total_fires()
-                    })
-                },
-            );
-        }
-    }
+    let grid = HexGrid::new(50, 20);
+    let sched = zero_schedule(20);
+    let cfg = SimConfig {
+        faults: FaultPlan::none().with_node(grid.node(10, 10), NodeFault::Byzantine),
+        timing: Timing::paper_scenario_iii(),
+        ..SimConfig::fault_free()
+    };
+    g.bench_with_input(
+        BenchmarkId::new("single_pulse_byzantine_batched", "50x20"),
+        &grid,
+        |b, grid| {
+            let mut scratch = SimScratch::new();
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                simulate_into(&mut scratch, grid.graph(), &sched, &cfg, seed).total_fires()
+            })
+        },
+    );
     g.finish();
 }
 
-/// Dynamic fault campaigns (scripted mid-run transitions) under both
-/// dispatch strategies: `burst_*` flips one node Byzantine for a
-/// two-pulse window (the script machinery's guarded path), `churn_*`
-/// rolls three fail-silent windows across random forwarders. Scripted
-/// runs leave the fault-free whole-batch masks, so this measures the
-/// transition-application overhead the campaign sweeps pay.
+/// Dynamic fault campaigns (scripted mid-run transitions): `burst_*`
+/// flips one node Byzantine for a two-pulse window (the masked kernel
+/// while it lasts), `churn_*` rolls three fail-silent windows across
+/// random forwarders. This measures the window and transition overhead
+/// the campaign sweeps pay. The rows keep their `_batched` names from
+/// when a scalar driver ran beside them.
 fn bench_campaign(c: &mut Criterion) {
     use hex_clock::{PulseTrain, Scenario};
     use hex_core::fault::forwarder_candidates;
@@ -266,27 +180,24 @@ fn bench_campaign(c: &mut Criterion) {
         &mut churn_rng,
     );
     for (regime, script) in [("burst", &burst), ("churn", &churn)] {
-        for (label, batch) in [("scalar", false), ("batched", true)] {
-            let cfg = SimConfig {
-                batch,
-                script: Some(script.clone()),
-                timing: Timing::paper_scenario_iii(),
-                init: InitState::Arbitrary,
-                ..SimConfig::fault_free()
-            };
-            g.bench_with_input(
-                BenchmarkId::new(format!("{regime}_{label}"), "20x20"),
-                &grid,
-                |b, grid| {
-                    let mut scratch = SimScratch::new();
-                    let mut seed = 0u64;
-                    b.iter(|| {
-                        seed += 1;
-                        simulate_into(&mut scratch, grid.graph(), &sched, &cfg, seed).total_fires()
-                    })
-                },
-            );
-        }
+        let cfg = SimConfig {
+            script: Some(script.clone()),
+            timing: Timing::paper_scenario_iii(),
+            init: InitState::Arbitrary,
+            ..SimConfig::fault_free()
+        };
+        g.bench_with_input(
+            BenchmarkId::new(format!("{regime}_batched"), "20x20"),
+            &grid,
+            |b, grid| {
+                let mut scratch = SimScratch::new();
+                let mut seed = 0u64;
+                b.iter(|| {
+                    seed += 1;
+                    simulate_into(&mut scratch, grid.graph(), &sched, &cfg, seed).total_fires()
+                })
+            },
+        );
     }
     g.finish();
 }

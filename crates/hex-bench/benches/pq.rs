@@ -1,7 +1,7 @@
-//! Priority-queue ablation: `std::collections::BinaryHeap` (the engine's
-//! default future event list) versus the cache-friendlier 4-ary
-//! [`QuadHeapQueue`] versus the bounded-horizon [`CalendarQueue`], on
-//! simulation-shaped workloads.
+//! Priority-queue comparison: the `std::collections::BinaryHeap`-backed
+//! [`EventQueue`] (the hex-clock models' queue and the calendar's test
+//! reference) versus the bounded-horizon [`CalendarQueue`] the HEX engine
+//! runs on, on simulation-shaped workloads.
 //!
 //! Three access patterns matter for a DES:
 //!
@@ -23,12 +23,13 @@
 //! queues (`clear` between iterations, the `SimScratch` batch idiom) to
 //! expose the allocation share of the fresh-queue cost.
 //!
-//! `scripts/bench_snapshot.sh` records this three-way ablation in
-//! `BENCH_pq.json`; the winner is `hex_sim::QueuePolicy::default()`.
+//! `scripts/bench_snapshot.sh` records these rows in `BENCH_pq.json`. A
+//! 4-ary heap lost to both queues on every row here and was deleted; the
+//! README keeps its committed numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hex_core::{HexGrid, Timing, D_MINUS, D_PLUS};
-use hex_des::{CalendarQueue, Duration, EventQueue, QuadHeapQueue, SimRng, Time};
+use hex_des::{CalendarQueue, Duration, EventQueue, SimRng, Time};
 use hex_sim::{simulate_into, InitState, RunSpec, SimScratch};
 use std::hint::black_box;
 
@@ -76,19 +77,6 @@ fn bulk_drain(c: &mut Criterion) {
                 let mut acc = 0usize;
                 while let Some(e) = q.pop() {
                     acc ^= e.payload;
-                }
-                black_box(acc)
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("quad_heap", n), &ts, |b, ts| {
-            b.iter(|| {
-                let mut q = QuadHeapQueue::with_capacity(ts.len());
-                for (i, &t) in ts.iter().enumerate() {
-                    q.push(Time::from_ps(t), i);
-                }
-                let mut acc = 0usize;
-                while let Some((_, p)) = q.pop() {
-                    acc ^= p;
                 }
                 black_box(acc)
             })
@@ -160,19 +148,6 @@ fn hold_model(c: &mut Criterion) {
                 black_box(q.len())
             })
         });
-        g.bench_with_input(BenchmarkId::new("quad_heap", resident), &ds, |b, ds| {
-            b.iter(|| {
-                let mut q = QuadHeapQueue::with_capacity(resident);
-                for i in 0..resident {
-                    q.push(Time::from_ps(i as i64), i);
-                }
-                for &d in ds {
-                    let (t, p) = q.pop().expect("resident set never empties");
-                    q.push(t + Duration::from_ps(d), p);
-                }
-                black_box(q.len())
-            })
-        });
         g.bench_with_input(BenchmarkId::new("calendar", resident), &ds, |b, ds| {
             b.iter(|| {
                 let mut q = CalendarQueue::for_profile(Duration::from_ps(10_000), resident);
@@ -191,9 +166,9 @@ fn hold_model(c: &mut Criterion) {
 }
 
 /// The hold model with the engine's increment distribution (see the
-/// module docs): what the `QueuePolicy` choice actually experiences. All
-/// three queues run the scratch idiom — one persistent queue, `clear`
-/// between iterations — matching how `SimScratch` holds them.
+/// module docs): the workload the engine's queue actually experiences.
+/// Both queues run the scratch idiom — one persistent queue, `clear`
+/// between iterations — matching how `SimScratch` holds its queue.
 fn hold_engine_shaped(c: &mut Criterion) {
     report_stale_share();
     let mut g = c.benchmark_group("pq_hold_engine");
@@ -211,20 +186,6 @@ fn hold_engine_shaped(c: &mut Criterion) {
                 for &d in ds {
                     let e = q.pop().expect("resident set never empties");
                     q.push(e.at + Duration::from_ps(d), e.payload);
-                }
-                black_box(q.len())
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("quad_heap", resident), &ds, |b, ds| {
-            let mut q = QuadHeapQueue::with_capacity(resident);
-            b.iter(|| {
-                q.clear();
-                for i in 0..resident {
-                    q.push(Time::from_ps(i as i64), i);
-                }
-                for &d in ds {
-                    let (t, p) = q.pop().expect("resident set never empties");
-                    q.push(t + Duration::from_ps(d), p);
                 }
                 black_box(q.len())
             })

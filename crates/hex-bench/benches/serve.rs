@@ -15,14 +15,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use hex_bench::RunSpec;
 use hex_serve::{serve, Client, QueryKind, ServeConfig};
 use hex_sim::canon::decode_spec;
-use hex_sim::{knobs, QueuePolicy};
+use hex_sim::knobs;
 
 fn sweep_spec(seed: u64) -> RunSpec {
     let runs = knobs::parsed("HEX_RUNS", "a run count").unwrap_or(16);
-    RunSpec::grid(50, 20)
-        .runs(runs)
-        .seed(seed)
-        .queue(QueuePolicy::Calendar)
+    RunSpec::grid(50, 20).runs(runs).seed(seed)
 }
 
 fn bench_serve(c: &mut Criterion) {

@@ -12,12 +12,11 @@
 //! * [`Time`] / [`Duration`] — integer picosecond time, exact and portable;
 //! * [`EventQueue`] — a binary-heap future event list with deterministic
 //!   FIFO tie-breaking for simultaneous events;
-//! * [`QuadHeapQueue`] — a 4-ary-heap drop-in with the identical contract
-//!   (kept as the measured counterfactual of the `pq` ablation bench);
 //! * [`CalendarQueue`] — a bounded-horizon calendar/bucket-ring queue with
-//!   O(1) amortized push/pop on bounded-increment workloads;
-//! * [`FutureEventList`] — the sealed trait unifying the three queues, so
-//!   simulation engines can select their event list per run;
+//!   O(1) amortized push/pop on bounded-increment workloads, and the queue
+//!   the HEX engine runs on;
+//! * [`FutureEventList`] — the sealed trait over both queues, under which
+//!   the calendar is property-tested against the binary heap;
 //! * [`SimRng`] — seedable random sampling helpers (uniform delay intervals);
 //! * [`Schedule`] — absolute-time schedules used by pulse sources.
 //!
@@ -37,7 +36,6 @@
 pub mod calendar;
 pub mod event;
 pub mod fel;
-pub mod quad_heap;
 pub mod rng;
 pub mod schedule;
 pub mod time;
@@ -45,7 +43,6 @@ pub mod time;
 pub use calendar::CalendarQueue;
 pub use event::{EventQueue, QueuedEvent};
 pub use fel::FutureEventList;
-pub use quad_heap::QuadHeapQueue;
 pub use rng::SimRng;
 pub use schedule::Schedule;
 pub use time::{Duration, Time};

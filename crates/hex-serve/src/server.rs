@@ -79,11 +79,10 @@ impl ServeConfig {
     /// (all reads go through [`hex_sim::knobs`] — the `env-knob` lint
     /// holds for this crate with no suppressions).
     ///
-    /// Engine execution knobs are inherited from the daemon's own
-    /// environment rather than from clients: decoding a query spec goes
-    /// through `RunSpec::grid`, so `HEX_QUEUE`/`HEX_BATCH` apply as they
-    /// would to any local run. Both are excluded from the canonical
-    /// cache key — outputs are pinned identical across them.
+    /// No knob selects how the engine runs (it has one event list and one
+    /// driver), so a daemon computes exactly what a local run of the same
+    /// spec computes. A batch's thread count is outside the canonical
+    /// cache key: outputs are pinned identical across thread counts.
     pub fn from_knobs() -> ServeConfig {
         ServeConfig {
             addr: knobs::raw("HEX_SERVE_ADDR").unwrap_or_else(|| "hexd.sock".to_string()),

@@ -271,7 +271,7 @@ where
 }
 
 /// The machine's available parallelism (≥ 1), resolved once per process
-/// and cached, like the `HEX_QUEUE` and `HEX_BATCH` defaults. On Linux
+/// and cached. On Linux
 /// each `available_parallelism` call re-reads the process's cgroup CPU
 /// quota files, which costs more than the rest of a spec decode, and
 /// `RunSpec::grid` (so every `hexd` query) asks for this value. A quota

@@ -15,19 +15,18 @@
 //! seed (the seed policy — run `r` simulates with `seed + r`), layer-0
 //! scenario, fault regime (including explicit [`FaultPlan`]s, link
 //! overrides and all), initial states, pulse count, timing policy, the
-//! delay model, the queue policy, and any explicit schedule override.
+//! delay model, and any explicit schedule override.
 //!
 //! `threads` is deliberately **excluded**: batch reductions are pinned
 //! independent of the worker-thread count, so it is an execution knob of
 //! the machine, not part of the experiment description. Decoding yields
 //! `threads = 0` (available parallelism).
 //!
-//! The queue policy *is* encoded even though all policies are pinned
-//! byte-identical: it is part of the run description the caller wrote
-//! down, and keeping it visible in the canonical form means a cache
-//! entry records exactly what was asked for. (It also keeps the
-//! `HEX_QUEUE` CI legs honest: they exercise a distinct cache key rather
-//! than silently sharing entries with the default policy.)
+//! Every canonical spec also carries the constant line `queue calendar`.
+//! It named the event-list policy while the engine had three; the engine
+//! now has one, and the line stays so that canonical bytes, spec hashes
+//! and cache entries written before keep their meaning. Any other queue
+//! value is not canonical and does not decode.
 //!
 //! ## Stability
 //!
@@ -58,7 +57,7 @@ use hex_core::{
 };
 use hex_des::{Duration, Schedule, Time};
 
-use crate::engine::{InitState, QueuePolicy};
+use crate::engine::InitState;
 use crate::spec::{FaultRegime, RunSpec, TimingPolicy};
 
 /// Canonical-format epoch. Bump on ANY change to the byte encoding; the
@@ -127,7 +126,7 @@ pub fn encode_spec(spec: &RunSpec) -> Vec<u8> {
     let _ = writeln!(s, "pulses {}", spec.pulses);
     encode_timing(&mut s, &spec.timing);
     encode_delays(&mut s, &spec.delays);
-    let _ = writeln!(s, "queue {}", spec.queue.label());
+    s.push_str("queue calendar\n");
     encode_schedule(&mut s, spec.schedule.as_ref());
     s.into_bytes()
 }
@@ -135,7 +134,9 @@ pub fn encode_spec(spec: &RunSpec) -> Vec<u8> {
 /// Decode canonical bytes back into a [`RunSpec`]. Strict: the header
 /// must match, every field must appear exactly once in canonical order,
 /// and no trailing bytes are tolerated — a decoded spec re-encodes to
-/// the identical byte string (pinned by the workspace serve tests).
+/// the identical byte string, and bytes that would not (`runs 0250`,
+/// doubled spaces, extra fields) are rejected, so one spec has exactly
+/// one accepted spelling and `hexd` one cache key per spec.
 /// `threads` is set to 0 (available parallelism); it is not part of the
 /// canonical description.
 pub fn decode_spec(bytes: &[u8]) -> Result<RunSpec, String> {
@@ -162,13 +163,13 @@ pub fn decode_spec(bytes: &[u8]) -> Result<RunSpec, String> {
     spec.pulses = parse(&fields(&mut lines, "pulses")?, 0, "pulses")?;
     spec.timing = decode_timing(&mut lines)?;
     spec.delays = decode_delays(&mut lines)?;
-    spec.queue = {
-        let f = fields(&mut lines, "queue")?;
-        queue_from_label(f.first().copied().unwrap_or(""))?
-    };
+    fields(&mut lines, "queue")?;
     spec.schedule = decode_schedule(&mut lines)?;
     if let Some(extra) = lines.next() {
         return Err(format!("trailing line {extra:?} after schedule"));
+    }
+    if encode_spec(&spec) != bytes {
+        return Err("not the canonical encoding of the spec it decodes to".to_string());
     }
     Ok(spec)
 }
@@ -549,14 +550,6 @@ fn scenario_from_slug(slug: &str) -> Result<Scenario, String> {
         .ok_or_else(|| format!("unknown scenario slug `{slug}`"))
 }
 
-fn queue_from_label(label: &str) -> Result<QueuePolicy, String> {
-    QueuePolicy::ALL
-        .iter()
-        .copied()
-        .find(|q| q.label() == label)
-        .ok_or_else(|| format!("unknown queue policy `{label}`"))
-}
-
 fn node_fault_label(f: NodeFault) -> &'static str {
     match f {
         NodeFault::Byzantine => "byzantine",
@@ -625,7 +618,7 @@ mod tests {
 
     #[test]
     fn default_spec_round_trips() {
-        round_trip(&RunSpec::paper().queue(QueuePolicy::Calendar));
+        round_trip(&RunSpec::paper());
     }
 
     #[test]
@@ -684,7 +677,7 @@ mod tests {
     }
 
     #[test]
-    fn every_init_timing_queue_round_trips() {
+    fn every_init_and_timing_round_trips() {
         for init in [
             InitState::Clean,
             InitState::Arbitrary,
@@ -696,9 +689,7 @@ mod tests {
                 TimingPolicy::Generous,
                 TimingPolicy::Fixed(Timing::paper_scenario_iii()),
             ] {
-                for queue in QueuePolicy::ALL {
-                    round_trip(&RunSpec::grid(5, 4).init(init).timing(timing).queue(queue));
-                }
+                round_trip(&RunSpec::grid(5, 4).init(init).timing(timing));
             }
         }
     }
@@ -787,11 +778,30 @@ mod tests {
                 "schedule {count} accepted"
             );
         }
+        // Spellings that parse to a valid spec but are not its canonical
+        // bytes, and every queue but the constant `calendar`.
+        for (canonical, other) in [
+            ("runs 250", "runs 0250"),
+            ("runs 250", "runs +250"),
+            ("runs 250", "runs 250 junk"),
+            ("grid 4 4", "grid  4 4"),
+            ("grid 4 4", "grid 4 4 9"),
+            ("init clean", "init clean arbitrary"),
+            ("queue calendar", "queue calendar x"),
+            ("queue calendar", "queue binary_heap"),
+        ] {
+            let spelled = text.replace(canonical, other);
+            assert_ne!(spelled, text);
+            assert!(
+                decode_spec(spelled.as_bytes()).is_err(),
+                "{other:?} accepted"
+            );
+        }
     }
 
     #[test]
     fn hash_distinguishes_specs() {
-        let base = RunSpec::grid(8, 6).queue(QueuePolicy::Calendar);
+        let base = RunSpec::grid(8, 6);
         let mut hashes = vec![spec_hash(&base)];
         hashes.push(spec_hash(&base.clone().seed(43)));
         hashes.push(spec_hash(&base.clone().runs(251)));

@@ -14,13 +14,12 @@
 //!
 //! Every event the engine schedules lands inside a bounded lookahead
 //! window of the current instant (`[d-, d+]` deliveries, `[T-, T+]` link
-//! and sleep timeouts), so the event list is pluggable via
-//! [`QueuePolicy`]: the `std::collections::BinaryHeap`-backed
-//! [`EventQueue`], the 4-ary [`QuadHeapQueue`], or the bounded-horizon
-//! [`CalendarQueue`] — all three pop byte-identically (`(time, seq)`
-//! order, FIFO ties), which the workspace determinism wall pins across
-//! policies. The hot loop is monomorphized per queue through the sealed
-//! [`FutureEventList`] trait; no per-event dynamic dispatch.
+//! and sleep timeouts). The bounded-horizon [`CalendarQueue`] exploits
+//! exactly that bound, and the engine drains it in bucket batches
+//! through one driver ([`run_windows`]). Pops follow `(time, seq)` order
+//! with FIFO ties, so a run is a pure function of its configuration and
+//! seed; the workspace determinism tests pin its output to committed
+//! golden values.
 //!
 //! ## Fault semantics
 //!
@@ -39,9 +38,7 @@ use hex_core::{
     DelayModel, FaultEvent, FaultPlan, FaultScript, FaultTransition, HexGrid, LinkBehavior,
     NodeFault, NodeId, PulseGraph, RejoinState, Role, Timing, TriggerCause,
 };
-use hex_des::{
-    CalendarQueue, Duration, EventQueue, FutureEventList, QuadHeapQueue, Schedule, SimRng, Time,
-};
+use hex_des::{CalendarQueue, Duration, Schedule, SimRng, Time};
 
 use crate::observe::{FireLog, PulseBinner, RunObserver};
 use crate::soa::SoaNodes;
@@ -70,81 +67,29 @@ pub enum InitState {
     AllAsleep,
 }
 
-/// Which [`FutureEventList`] implementation the engine runs on.
+/// The engine's future event list: the bounded-horizon calendar ring.
 ///
-/// All three produce byte-identical traces (pinned by the determinism
-/// wall); the policy only trades queue-operation cost. The default is the
-/// winner of the three-way `pq`/`des_engine` ablation
-/// (`scripts/bench_snapshot.sh` records it in `BENCH_*.json`): the
-/// bounded-horizon calendar ring wins every engine workload — ~20% on
-/// `single_pulse/grid/100x40`, ~27% on the stabilization regime, and
-/// 1.6–2× on raw hold-model queue ops — because every HEX scheduling
-/// increment is bounded, the structure a bucket ring exploits for O(1)
-/// amortized push/pop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// It won every engine row of the three-way queue ablation it replaced
+/// (`single_pulse/grid_scratch/100x40`: 2.23 ms, against 4.12 ms for a
+/// binary heap and 5.33 ms for a 4-ary heap), because every HEX
+/// scheduling increment is bounded. Kept only because the benchmark
+/// harness prints its label in its config line
+/// (`perfbench/src/main.rs:180`), and the harness changes only with a
+/// revision of the benchmark itself; delete both together then.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueuePolicy {
-    /// `std::collections::BinaryHeap` via [`EventQueue`]: the measured
-    /// runner-up, and the reference implementation the walls compare
-    /// against.
-    BinaryHeap,
-    /// 4-ary implicit heap ([`QuadHeapQueue`]): fewer cache-missing
-    /// levels, more comparisons per sift. Loses to both others on HEX
-    /// workloads; kept as the measured counterfactual.
-    QuadHeap,
     /// Bounded-horizon calendar ring ([`CalendarQueue`]), sized per run
     /// from the delivery envelope and the graph's node count (see
-    /// `calendar_geometry`) — the measured default.
+    /// `calendar_geometry`).
+    #[default]
     Calendar,
 }
 
-impl Default for QueuePolicy {
-    /// The calendar ring (the ablation winner) — unless `HEX_QUEUE` names
-    /// another policy, in which case the whole process defaults to that
-    /// one. The variable is read once and cached, so the default is
-    /// stable for the process lifetime; all policies produce byte-
-    /// identical output, so this is purely a performance (and CI
-    /// coverage: the test matrix re-runs the full suite under
-    /// `HEX_QUEUE=binary_heap`) knob.
-    fn default() -> Self {
-        static ENV_DEFAULT: std::sync::OnceLock<QueuePolicy> = std::sync::OnceLock::new();
-        *ENV_DEFAULT.get_or_init(|| {
-            crate::knobs::parsed("HEX_QUEUE", "binary_heap, quad_heap or calendar")
-                .unwrap_or(QueuePolicy::Calendar)
-        })
-    }
-}
-
 impl QueuePolicy {
-    /// Every policy, in ablation-report order.
-    pub const ALL: [QueuePolicy; 3] = [
-        QueuePolicy::BinaryHeap,
-        QueuePolicy::QuadHeap,
-        QueuePolicy::Calendar,
-    ];
-
-    /// Short label used by benches and the `HEX_QUEUE` env knob.
+    /// The label the benchmark harness prints.
     pub fn label(self) -> &'static str {
         match self {
-            QueuePolicy::BinaryHeap => "binary_heap",
-            QueuePolicy::QuadHeap => "quad_heap",
             QueuePolicy::Calendar => "calendar",
-        }
-    }
-}
-
-impl std::str::FromStr for QueuePolicy {
-    type Err = String;
-
-    /// Accepts the bench labels and their obvious shorthands
-    /// (`binary_heap`/`binary`/`heap`, `quad_heap`/`quad`, `calendar`).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "binary_heap" | "binary" | "heap" => Ok(QueuePolicy::BinaryHeap),
-            "quad_heap" | "quad" => Ok(QueuePolicy::QuadHeap),
-            "calendar" => Ok(QueuePolicy::Calendar),
-            other => Err(format!(
-                "unknown queue policy {other:?} (expected binary_heap, quad_heap or calendar)"
-            )),
         }
     }
 }
@@ -168,15 +113,6 @@ pub struct SimConfig {
     /// [`Trace::arrivals`] (provenance for the execution checker;
     /// off by default — it costs memory proportional to message count).
     pub record_arrivals: bool,
-    /// Future-event-list implementation (identical output either way).
-    pub queue: QueuePolicy,
-    /// Drain the event list in bucket batches through the
-    /// structure-of-arrays kernels instead of one event at a time
-    /// (identical output either way, pinned by the determinism wall; see
-    /// [`batch_default`] for the `HEX_BATCH` escape hatch). Like `queue`,
-    /// this is a pure execution-strategy knob and is deliberately **not**
-    /// part of the canonical run encoding.
-    pub batch: bool,
     /// Dynamic fault timeline: scheduled [`FaultTransition`]s that flip
     /// the hoisted `active`/`faulty` bitmasks (and the link-behaviour
     /// table) mid-run. `None` (or an empty script) runs the static-plan
@@ -194,18 +130,13 @@ pub struct SimConfig {
 /// byte-identical to an unscripted run.
 pub const SCRIPT_SALT: u64 = 0x5EED_5C21;
 
-/// The process-wide default for [`SimConfig::batch`]: batched kernels on,
-/// unless the `HEX_BATCH` env knob turns them off (`off`/`0`/`false`),
-/// which CI uses to keep the scalar reference path exercised by the full
-/// suite. Read once and cached, like the `HEX_QUEUE` policy default.
+/// Always true: every run drains its event list in bucket batches (see
+/// [`run_windows`]). Kept only because the benchmark harness prints it
+/// in its config line (`perfbench/src/main.rs:181`), and the harness
+/// changes only with a revision of the benchmark itself; delete both
+/// together then.
 pub fn batch_default() -> bool {
-    static ENV_DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENV_DEFAULT.get_or_init(|| match crate::knobs::raw("HEX_BATCH").as_deref() {
-        None => true,
-        Some("on") | Some("1") | Some("true") => true,
-        Some("off") | Some("0") | Some("false") => false,
-        Some(v) => panic!("HEX_BATCH must be on or off, got {v:?}"),
-    })
+    true
 }
 
 /// Always 1: each run executes on one thread (batches spread whole runs
@@ -228,8 +159,6 @@ impl SimConfig {
             init: InitState::Clean,
             horizon: None,
             record_arrivals: false,
-            queue: QueuePolicy::default(),
-            batch: batch_default(),
             script: None,
         }
     }
@@ -267,11 +196,11 @@ impl SimConfig {
 
     /// The smallest increment the event loop ever schedules ahead of `now`:
     /// the fastest delivery, memory timeout or sleep. This is the batch
-    /// span of the bucket-draining kernels — while a batch covering
+    /// span of [`run_windows`] — while a batch covering
     /// `[first, first + min_increment]` is processed, every event it
     /// schedules lands at or beyond the batch's end (same-instant pushes
     /// get later sequence numbers), so draining the whole batch up front
-    /// replays the scalar pop order exactly. Only in-loop scheduling is
+    /// replays the one-at-a-time pop order exactly. Only in-loop scheduling is
     /// constrained: pre-loop pushes (corrupted-init residuals may be
     /// arbitrarily short) all happen before the first batch is drained.
     pub fn min_increment(&self) -> Duration {
@@ -301,16 +230,16 @@ enum Ev {
         epoch: u32,
     },
     /// Sentinel for `cfg.script.transitions()[index]`: popping it ends the
-    /// current fault window. Seeded up-front (one per transition), so the
-    /// `(time, seq)` interleaving against regular events is identical on
-    /// the scalar and batched paths.
+    /// current fault window. Seeded up-front (one per transition, after
+    /// every other seed-time event), so at its instant seed-time events
+    /// apply before the transition and in-loop events after it.
     Script {
         index: u32,
     },
 }
 
 impl Ev {
-    /// Discriminant for the batched kernel's same-kind run grouping.
+    /// Discriminant for the batch kernel's same-kind run grouping.
     #[inline]
     fn kind(self) -> u8 {
         match self {
@@ -321,16 +250,6 @@ impl Ev {
             Ev::Script { .. } => 4,
         }
     }
-}
-
-/// The scratch-resident future event list: one variant per
-/// [`QueuePolicy`], selected (and if necessary rebuilt) per run by
-/// [`SimScratch::prepare`]. The run loop matches once and monomorphizes.
-#[derive(Debug)]
-enum FelQueue {
-    Binary(EventQueue<Ev>),
-    Quad(QuadHeapQueue<Ev>),
-    Calendar(CalendarQueue<Ev>),
 }
 
 /// The calendar ring geometry for a configuration on an `n`-node graph:
@@ -348,7 +267,7 @@ fn calendar_geometry(cfg: &SimConfig, nodes: usize) -> (i64, usize) {
     // deliveries don't pile into one. Sparse far-future timeouts beyond
     // the lap (e.g. the generous 10 µs sleeps of single-pulse runs) just
     // wait out extra laps — measured cheaper than widening the buckets
-    // to reach them (see `single_pulse/grid_scratch_calendar`).
+    // to reach them (see `single_pulse/grid_scratch`).
     let lap_covers_hop = (env.hi.ps().max(1) + nb_i - 1) / nb_i;
     let jitter_spread = (env.uncertainty().ps() / 4).max(lap_covers_hop);
     let width = (cfg.max_increment().ps().max(1) / nb_i).clamp(lap_covers_hop, jitter_spread);
@@ -393,11 +312,13 @@ fn calendar_geometry(cfg: &SimConfig, nodes: usize) -> (i64, usize) {
 #[derive(Debug)]
 pub struct SimScratch {
     trace: Trace,
-    /// Structure-of-arrays node state ([`SoaNodes`]): both the scalar and
-    /// the batched kernels run on the same parallel-vector layout.
+    /// Structure-of-arrays node state ([`SoaNodes`]), the layout the
+    /// batch kernel runs on.
     nodes: SoaNodes,
-    queue: FelQueue,
-    /// The batched kernels' pop buffer ([`FutureEventList::pop_batch`]
+    /// The event list, rebuilt only when a run's `calendar_geometry`
+    /// differs from the last one's.
+    queue: CalendarQueue<Ev>,
+    /// The batch kernel's pop buffer ([`CalendarQueue::drain_bucket`]
     /// drains into it); recycled like every other arena here.
     batch_buf: Vec<(Time, Ev)>,
     /// Per-node `role == Forwarder && !faulty` — the per-event
@@ -436,7 +357,9 @@ impl SimScratch {
                 horizon: Time::ZERO,
             },
             nodes: SoaNodes::new(),
-            queue: FelQueue::Binary(EventQueue::new()),
+            // A placeholder: every real geometry has at least 16 buckets,
+            // so the first `prepare` replaces it.
+            queue: CalendarQueue::with_geometry(Duration::from_ps(1), 1),
             batch_buf: Vec::new(),
             active: Vec::new(),
             faulty: Vec::new(),
@@ -500,7 +423,7 @@ impl SimScratch {
 
     /// Make every buffer observationally identical to a fresh allocation
     /// for `graph` under `cfg`, reusing capacity whenever the shape (and
-    /// queue policy) allows.
+    /// ring geometry) allows.
     fn prepare(&mut self, graph: &PulseGraph, cfg: &SimConfig) {
         let n = graph.node_count();
         let shape_ok = self.trace.fires.len() == n
@@ -533,41 +456,13 @@ impl SimScratch {
                 graph.role(id) == Role::Forwarder && !self.faulty[id as usize];
         }
 
-        // Select the event list for this run's policy, recycling the
-        // stored queue when its variant (and, for the calendar, its ring
-        // geometry) matches. First-run behavior matches steady-state
-        // reuse: the heap-backed lists start sized for the graph instead
-        // of growing through the run.
-        let prev = std::mem::replace(&mut self.queue, FelQueue::Binary(EventQueue::new()));
-        self.queue = match (cfg.queue, prev) {
-            (QueuePolicy::BinaryHeap, FelQueue::Binary(mut q)) => {
-                q.clear();
-                q.reserve(n);
-                FelQueue::Binary(q)
-            }
-            (QueuePolicy::BinaryHeap, _) => FelQueue::Binary(EventQueue::with_capacity(n)),
-            (QueuePolicy::QuadHeap, FelQueue::Quad(mut q)) => {
-                q.clear();
-                q.reserve(n);
-                FelQueue::Quad(q)
-            }
-            (QueuePolicy::QuadHeap, _) => FelQueue::Quad(QuadHeapQueue::with_capacity(n)),
-            (QueuePolicy::Calendar, prev) => {
-                let (width, buckets) = calendar_geometry(cfg, n);
-                match prev {
-                    FelQueue::Calendar(mut q)
-                        if q.bucket_width() == width && q.bucket_count() == buckets =>
-                    {
-                        q.clear();
-                        FelQueue::Calendar(q)
-                    }
-                    _ => FelQueue::Calendar(CalendarQueue::with_geometry(
-                        Duration::from_ps(width),
-                        buckets,
-                    )),
-                }
-            }
-        };
+        // Recycle the event list when its ring geometry fits this run.
+        let (width, buckets) = calendar_geometry(cfg, n);
+        if self.queue.bucket_width() == width && self.queue.bucket_count() == buckets {
+            self.queue.clear();
+        } else {
+            self.queue = CalendarQueue::with_geometry(Duration::from_ps(width), buckets);
+        }
         self.popped_events = 0;
         self.stale_events = 0;
     }
@@ -664,95 +559,29 @@ fn prepare_run(graph: &PulseGraph, schedule: &Schedule, cfg: &SimConfig, seed: u
     }
 }
 
-/// Build the run context and drain the whole event list through the
-/// queue-policy match: the single observer-generic core behind both
-/// [`simulate_into`] and [`simulate_observed_into`]. One match per run
-/// (queue policy × scalar/batched), zero per-event dispatch on any axis.
-#[allow(clippy::too_many_arguments)]
-fn drive<O: RunObserver>(
-    setup: &mut RunSetup,
-    graph: &PulseGraph,
-    cfg: &SimConfig,
-    schedule: &Schedule,
-    queue: &mut FelQueue,
-    nodes: &mut SoaNodes,
-    active: &mut [bool],
-    faulty: &mut [bool],
-    obs: &mut O,
-    arrivals: &mut [Vec<Arrival>],
-    batch_buf: &mut Vec<(Time, Ev)>,
-) -> (u64, u64) {
-    let scripted = cfg.script.as_ref().is_some_and(|s| !s.is_empty());
-    macro_rules! drain {
-        ($q:expr) => {
-            if scripted {
-                if cfg.batch {
-                    run_events_scripted_batched(
-                        $q, setup, graph, cfg, schedule, nodes, active, faulty, obs, arrivals,
-                        batch_buf,
-                    )
-                } else {
-                    run_events_scripted(
-                        $q, setup, graph, cfg, schedule, nodes, active, faulty, obs, arrivals,
-                    )
-                }
-            } else {
-                let ctx = RunCtx {
-                    graph,
-                    cfg,
-                    behaviors: &setup.behaviors,
-                    delays: &setup.delays,
-                    active,
-                    faulty,
-                    all_links_correct: setup.behaviors.iter().all(|&b| b == LinkBehavior::Correct),
-                    horizon: setup.horizon,
-                };
-                if cfg.batch {
-                    run_events_batched(
-                        $q,
-                        &ctx,
-                        schedule,
-                        &setup.sources,
-                        nodes,
-                        obs,
-                        arrivals,
-                        &mut setup.rng,
-                        batch_buf,
-                    )
-                } else {
-                    run_events(
-                        $q,
-                        &ctx,
-                        schedule,
-                        &setup.sources,
-                        nodes,
-                        obs,
-                        arrivals,
-                        &mut setup.rng,
-                    )
-                }
-            }
-        };
-    }
-    match queue {
-        FelQueue::Binary(q) => drain!(q),
-        FelQueue::Quad(q) => drain!(q),
-        FelQueue::Calendar(q) => drain!(q),
-    }
-}
-
 /// Run one simulation into `scratch`, recycling its event queue, node
 /// states and trace storage, and return the recorded trace (borrowed from
 /// the scratch, which stays reusable for the next run).
 ///
 /// The result is byte-identical to [`simulate`] with the same arguments,
-/// no matter what ran through the scratch before — and no matter which
-/// [`QueuePolicy`] either run used.
+/// no matter what ran through the scratch before.
 ///
 /// # Panics
 ///
 /// Panics if the schedule's source count does not match the graph's.
 pub fn simulate_into<'s>(
+    scratch: &'s mut SimScratch,
+    graph: &PulseGraph,
+    schedule: &Schedule,
+    cfg: &SimConfig,
+    seed: u64,
+) -> &'s Trace {
+    traced_run::<false>(scratch, graph, schedule, cfg, seed)
+}
+
+/// The body of [`simulate_into`], and with `REFERENCE` of
+/// [`simulate_reference_into`].
+fn traced_run<'s, const REFERENCE: bool>(
     scratch: &'s mut SimScratch,
     graph: &PulseGraph,
     schedule: &Schedule,
@@ -774,7 +603,7 @@ pub fn simulate_into<'s>(
         fires, arrivals, ..
     } = trace;
     let mut obs = FireLog { fires };
-    let (popped, stale) = drive(
+    let (popped, stale) = run_windows::<_, REFERENCE>(
         &mut setup, graph, cfg, schedule, queue, nodes, active, faulty, &mut obs, arrivals,
         batch_buf,
     );
@@ -797,13 +626,26 @@ pub fn simulate_into<'s>(
 /// [`assign_pulses`](crate::assign_pulses) (or
 /// [`PulseView::from_single_pulse`](crate::PulseView::from_single_pulse)
 /// for single-pulse schedules) with the same `d_mid` — pinned by the
-/// observer-equivalence walls across queue policies and thread counts.
+/// observer-equivalence walls across thread counts.
 /// The scratch stays reusable for either path afterwards.
 ///
 /// # Panics
 ///
 /// Panics if the schedule's source count does not match the graph's.
 pub fn simulate_observed_into<'s>(
+    scratch: &'s mut SimScratch,
+    grid: &HexGrid,
+    schedule: &Schedule,
+    cfg: &SimConfig,
+    seed: u64,
+    d_mid: Duration,
+) -> &'s PulseBinner {
+    observed_run::<false>(scratch, grid, schedule, cfg, seed, d_mid)
+}
+
+/// The body of [`simulate_observed_into`], and with `REFERENCE` of
+/// [`simulate_observed_reference_into`].
+fn observed_run<'s, const REFERENCE: bool>(
     scratch: &'s mut SimScratch,
     grid: &HexGrid,
     schedule: &Schedule,
@@ -826,7 +668,7 @@ pub fn simulate_observed_into<'s>(
     } = scratch;
     binner.prepare(grid, schedule, d_mid, &cfg.faults.faulty_nodes());
     let arrivals = &mut trace.arrivals;
-    let (popped, stale) = drive(
+    let (popped, stale) = run_windows::<_, REFERENCE>(
         &mut setup, graph, cfg, schedule, queue, nodes, active, faulty, binner, arrivals, batch_buf,
     );
 
@@ -835,14 +677,43 @@ pub fn simulate_observed_into<'s>(
     &scratch.binner
 }
 
+/// The batching reference: [`simulate_into`] through the same driver with
+/// batch span 0 and the masked kernel in every window. Span 0 drains only
+/// the events of one instant per batch, so this replays the
+/// one-at-a-time pop order; the engine tests compare production runs
+/// against it.
+#[cfg(test)]
+pub(crate) fn simulate_reference_into<'s>(
+    scratch: &'s mut SimScratch,
+    graph: &PulseGraph,
+    schedule: &Schedule,
+    cfg: &SimConfig,
+    seed: u64,
+) -> &'s Trace {
+    traced_run::<true>(scratch, graph, schedule, cfg, seed)
+}
+
+/// [`simulate_observed_into`] on the batching reference (see
+/// [`simulate_reference_into`]).
+#[cfg(test)]
+pub(crate) fn simulate_observed_reference_into<'s>(
+    scratch: &'s mut SimScratch,
+    grid: &HexGrid,
+    schedule: &Schedule,
+    cfg: &SimConfig,
+    seed: u64,
+    d_mid: Duration,
+) -> &'s PulseBinner {
+    observed_run::<true>(scratch, grid, schedule, cfg, seed, d_mid)
+}
+
 /// Schedule everything that exists before the first event pops: source
 /// pulses, corrupted-init states with their residual timeouts, stuck-at-1
-/// port assertions and the time-0 guard sweep. Shared verbatim by the
-/// scalar and batched kernels — the pre-loop RNG draw order is part of
-/// their byte-equality contract.
-#[allow(clippy::too_many_arguments)]
-fn seed_events<Q: FutureEventList<Ev>, O: RunObserver>(
-    q: &mut Q,
+/// port assertions and the time-0 guard sweep, then one sentinel per
+/// scripted transition. The pre-loop RNG draw order is part of the
+/// pinned output.
+fn seed_events<O: RunObserver>(
+    q: &mut CalendarQueue<Ev>,
     ctx: &RunCtx<'_>,
     schedule: &Schedule,
     sources: &[NodeId],
@@ -927,14 +798,13 @@ fn seed_events<Q: FutureEventList<Ev>, O: RunObserver>(
     // immediately (time 0).
     for n in graph.node_ids() {
         if ctx.active[n as usize] {
-            maybe_fire::<Q, O, false>(n, Time::ZERO, ctx, nodes, obs, q, rng);
+            maybe_fire::<O, false>(n, Time::ZERO, ctx, nodes, obs, q, rng);
         }
     }
 
     // One sentinel per scripted fault transition, pushed after everything
     // else: at equal timestamps, seed-time events apply before the
-    // transition and in-loop events after it, identically on the scalar
-    // and batched paths.
+    // transition and in-loop events after it.
     if let Some(script) = &cfg.script {
         for (index, tr) in script.transitions().iter().enumerate() {
             q.push(
@@ -947,172 +817,47 @@ fn seed_events<Q: FutureEventList<Ev>, O: RunObserver>(
     }
 }
 
-/// Schedule the initial events and drain the queue one event at a time:
-/// the scalar reference kernel. Firing records flow through `obs` — the
-/// [`FireLog`] of the trace path or the [`PulseBinner`] of the streaming
-/// path; both the queue and the observer are monomorphized, so the loop
-/// pays no per-event dispatch for either axis. Returns `(events popped,
-/// stale epoch-rejected events)`.
+/// The engine's one driver: seed the event list, then drain it in
+/// windows. A window ends 1 ps before the next script transition, or at
+/// the horizon when no transition is left, so an unscripted run is one
+/// window. Inside a window, [`drain`] pops bucket batches spanning
+/// [`SimConfig::min_increment`] and dispatches each through the
+/// `FAULT_FREE` kernel when the window is fault-free (see
+/// [`batch_fault_free`]), the masked one otherwise. At a window's end,
+/// the events at the transition instant that precede its sentinel are
+/// dispatched one at a time through the masked kernel, the transition is
+/// applied ([`apply_transition`]), and the next window re-hoists the
+/// masks. The run ends by popping the first event past the horizon, which
+/// `popped()` counts. Returns `(events popped, stale epoch-rejected
+/// events)`.
+///
+/// `REFERENCE` (tests only, see [`simulate_reference_into`]) drains with
+/// span 0 — one instant per batch — and the masked kernel in every
+/// window.
 #[allow(clippy::too_many_arguments)]
-fn run_events<Q: FutureEventList<Ev>, O: RunObserver>(
-    q: &mut Q,
-    ctx: &RunCtx<'_>,
-    schedule: &Schedule,
-    sources: &[NodeId],
-    nodes: &mut SoaNodes,
-    obs: &mut O,
-    arrivals: &mut [Vec<Arrival>],
-    rng: &mut SimRng,
-) -> (u64, u64) {
-    seed_events(q, ctx, schedule, sources, nodes, obs, rng);
-
-    // Main loop.
-    let mut stale = 0u64;
-    while let Some((now, payload)) = q.pop_next() {
-        if now > ctx.horizon {
-            break;
-        }
-        match handle_one::<Q, O, false>(now, payload, ctx, nodes, obs, arrivals, q, rng) {
-            Step::Done => {}
-            Step::Stale => stale += 1,
-            Step::Script(_) => unreachable!("script sentinel in an unscripted run"),
-        }
-    }
-
-    (q.popped(), stale)
-}
-
-/// What one scalar event dispatch did: nothing reportable, a stale
-/// epoch-rejected pop, or a scripted-fault sentinel (ending the window).
-enum Step {
-    Done,
-    Stale,
-    Script(u32),
-}
-
-/// Dispatch one popped event under the current context — the shared arm
-/// bodies of the scalar reference loop, the scripted window loop and the
-/// batched path's window-boundary replay. `DYNAMIC` adds the
-/// currently-faulty guard on `LinkTimeout`/`Wake` (a scripted fault must
-/// silence its victim's pending timers); it is compiled out of static
-/// runs, where an inactive node can never own a timer in the first place.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn handle_one<Q: FutureEventList<Ev>, O: RunObserver, const DYNAMIC: bool>(
-    now: Time,
-    payload: Ev,
-    ctx: &RunCtx<'_>,
-    nodes: &mut SoaNodes,
-    obs: &mut O,
-    arrivals: &mut [Vec<Arrival>],
-    q: &mut Q,
-    rng: &mut SimRng,
-) -> Step {
-    let graph = ctx.graph;
-    let cfg = ctx.cfg;
-    match payload {
-        Ev::SourceFire { node } => {
-            if ctx.faulty[node as usize] {
-                return Step::Done; // mute/Byzantine source: outputs are constants
-            }
-            obs.on_fire(node, now, TriggerCause::Source);
-            broadcast::<Q, false>(node, now, ctx, q, rng);
-        }
-        Ev::Deliver { link } => {
-            let l = graph.link(link);
-            let n = l.dst;
-            if !ctx.active[n as usize] {
-                return Step::Done;
-            }
-            if let Some(epoch) = nodes.set_flag(n, l.dst_port) {
-                if cfg.record_arrivals {
-                    arrivals[n as usize].push(Arrival {
-                        at: now,
-                        from: l.src,
-                        port: l.dst_port,
-                    });
-                }
-                let dur = rng.duration_in(cfg.timing.link.lo, cfg.timing.link.hi);
-                q.push(
-                    now + dur,
-                    Ev::LinkTimeout {
-                        node: n,
-                        port: l.dst_port,
-                        epoch,
-                    },
-                );
-                maybe_fire::<Q, O, false>(n, now, ctx, nodes, obs, q, rng);
-            }
-        }
-        Ev::LinkTimeout { node, port, epoch } => {
-            if DYNAMIC && !ctx.active[node as usize] {
-                return Step::Stale; // timer owned by a currently-faulty node
-            }
-            // Epoch bound: a timeout can carry at most the epoch it
-            // was scheduled under, and epochs only move forward — a
-            // popped epoch from the future means timer-cancellation
-            // bookkeeping is corrupt (the dynamic twin of the
-            // hex-lint determinism rules).
-            debug_assert!(
-                epoch <= nodes.flag_epoch(node, port),
-                "LinkTimeout from the future: node {node} port {port} \
-                 carries epoch {epoch} > current {}",
-                nodes.flag_epoch(node, port)
-            );
-            if nodes.expire_flag(node, port, epoch) {
-                refresh_stuck_one(node, port, now, ctx, nodes, q, rng);
-                maybe_fire::<Q, O, false>(node, now, ctx, nodes, obs, q, rng);
-            } else {
-                return Step::Stale;
-            }
-        }
-        Ev::Wake { node, epoch } => {
-            if DYNAMIC && !ctx.active[node as usize] {
-                return Step::Stale; // timer owned by a currently-faulty node
-            }
-            debug_assert!(
-                epoch <= nodes.sleep_epoch(node),
-                "Wake from the future: node {node} carries epoch {epoch} > current {}",
-                nodes.sleep_epoch(node)
-            );
-            if nodes.wake(node, epoch) {
-                // All flags were cleared; stuck-1 ports re-assert.
-                for port in 0..graph.port_count(node) as u8 {
-                    refresh_stuck_one(node, port, now, ctx, nodes, q, rng);
-                }
-                maybe_fire::<Q, O, false>(node, now, ctx, nodes, obs, q, rng);
-            } else {
-                return Step::Stale;
-            }
-        }
-        Ev::Script { index } => return Step::Script(index),
-    }
-    Step::Done
-}
-
-/// The scripted scalar driver: the reference loop of [`run_events`], run
-/// window by window. Popping a [`Ev::Script`] sentinel ends the current
-/// window; the transition is applied (masks, behaviours, SoA state — see
-/// [`apply_transition`]) and the next window rebuilds its [`RunCtx`] with
-/// the updated `all_links_correct` hoist. Returns `(events popped, stale
-/// epoch-rejected events)`.
-#[allow(clippy::too_many_arguments)]
-fn run_events_scripted<Q: FutureEventList<Ev>, O: RunObserver>(
-    q: &mut Q,
+fn run_windows<O: RunObserver, const REFERENCE: bool>(
     setup: &mut RunSetup,
     graph: &PulseGraph,
     cfg: &SimConfig,
     schedule: &Schedule,
+    q: &mut CalendarQueue<Ev>,
     nodes: &mut SoaNodes,
     active: &mut [bool],
     faulty: &mut [bool],
     obs: &mut O,
     arrivals: &mut [Vec<Arrival>],
+    batch_buf: &mut Vec<(Time, Ev)>,
 ) -> (u64, u64) {
-    let script = cfg.script.as_ref().expect("scripted driver needs a script");
+    let transitions = cfg.script.as_ref().map_or(&[][..], |s| s.transitions());
+    let span = if REFERENCE {
+        Duration::ZERO
+    } else {
+        cfg.min_increment()
+    };
+    let mut next = 0usize;
     let mut stale = 0u64;
     let mut seeded = false;
-    'windows: loop {
+    loop {
         let ctx = RunCtx {
             graph,
             cfg,
@@ -1135,90 +880,52 @@ fn run_events_scripted<Q: FutureEventList<Ev>, O: RunObserver>(
             );
             seeded = true;
         }
-        let mut pending: Option<u32> = None;
-        while let Some((now, payload)) = q.pop_next() {
-            if now > ctx.horizon {
-                break 'windows; // beyond-horizon event consumed, like run_events
+        let window_end = transitions.get(next).filter(|tr| tr.at <= ctx.horizon);
+        let cap = match window_end {
+            Some(tr) => Time::from_ps(tr.at.ps() - 1),
+            None => ctx.horizon,
+        };
+        let rng = &mut setup.rng;
+        stale += if !REFERENCE && batch_fault_free(&ctx) {
+            drain::<O, true>(q, &ctx, span, cap, nodes, obs, arrivals, rng, batch_buf)
+        } else {
+            drain::<O, false>(q, &ctx, span, cap, nodes, obs, arrivals, rng, batch_buf)
+        };
+        if window_end.is_none() {
+            if !q.is_empty() {
+                q.pop(); // the first event past the horizon
             }
-            match handle_one::<Q, O, true>(
-                now,
-                payload,
-                &ctx,
-                nodes,
-                obs,
-                arrivals,
-                q,
-                &mut setup.rng,
-            ) {
-                Step::Done => {}
-                Step::Stale => stale += 1,
-                Step::Script(index) => {
-                    pending = Some(index);
-                    break;
+            break;
+        }
+        let index = loop {
+            let e = q.pop().expect("the transition's sentinel is pending");
+            match e.payload {
+                Ev::Script { index } => break index as usize,
+                ev => {
+                    stale += dispatch::<O, false>(&[(e.at, ev)], &ctx, nodes, obs, arrivals, q, rng)
                 }
             }
-        }
-        match pending {
-            Some(index) => apply_transition(
-                q,
-                script.transitions()[index as usize],
-                graph,
-                cfg,
-                nodes,
-                active,
-                faulty,
-                setup,
-                obs,
-            ),
-            None => break, // queue fully drained
-        }
+        };
+        debug_assert_eq!(index, next, "sentinels pop in timeline order");
+        apply_transition(
+            q,
+            transitions[index],
+            graph,
+            cfg,
+            nodes,
+            active,
+            faulty,
+            setup,
+            obs,
+        );
+        next = index + 1;
     }
     (q.popped(), stale)
 }
 
-/// Schedule the initial events and drain the queue in bucket batches: the
-/// batched kernel behind [`SimConfig::batch`]. [`FutureEventList::pop_batch`]
-/// drains a span-bounded prefix of the pop sequence into `batch_buf`, and
-/// the events are processed as branch-light same-kind runs against the SoA
-/// node arrays. Byte-identical to [`run_events`] — same processing order,
-/// same RNG stream, same pop counters — because the batch span is
-/// [`SimConfig::min_increment`]: nothing processed inside a batch can
-/// schedule back into it.
-///
-/// The per-event `active`/`faulty` bitmask probes of the scalar loop are
-/// promoted to one whole-run mask test: when no node is faulty, every link
-/// behaves and every delivery targets an active forwarder, the entire drain
-/// runs through a `FAULT_FREE`-monomorphized kernel with no fault or role
-/// checks at all (and the stuck-at-1 refresh compiled out).
-#[allow(clippy::too_many_arguments)]
-fn run_events_batched<Q: FutureEventList<Ev>, O: RunObserver>(
-    q: &mut Q,
-    ctx: &RunCtx<'_>,
-    schedule: &Schedule,
-    sources: &[NodeId],
-    nodes: &mut SoaNodes,
-    obs: &mut O,
-    arrivals: &mut [Vec<Arrival>],
-    rng: &mut SimRng,
-    batch_buf: &mut Vec<(Time, Ev)>,
-) -> (u64, u64) {
-    seed_events(q, ctx, schedule, sources, nodes, obs, rng);
-    let stale = if batch_fault_free(ctx) {
-        drain_batches::<Q, O, true>(q, ctx, ctx.horizon, nodes, obs, arrivals, rng, batch_buf)
-    } else {
-        drain_batches::<Q, O, false>(q, ctx, ctx.horizon, nodes, obs, arrivals, rng, batch_buf)
-    };
-    // The scalar loop pops the first beyond-horizon event before breaking;
-    // mirror it so `popped()` stays byte-identical.
-    if !q.is_empty() {
-        q.pop_next();
-    }
-    (q.popped(), stale)
-}
-
-/// Can the whole drain (or, scripted, the current window) run through the
-/// `FAULT_FREE`-monomorphized kernel? True iff no node is faulty, every
-/// link behaves and every delivery targets an active forwarder.
+/// Can the current window run through the `FAULT_FREE`-monomorphized
+/// kernel? True iff no node is faulty, every link behaves and every
+/// delivery targets an active forwarder.
 fn batch_fault_free(ctx: &RunCtx<'_>) -> bool {
     let graph = ctx.graph;
     ctx.all_links_correct
@@ -1226,149 +933,14 @@ fn batch_fault_free(ctx: &RunCtx<'_>) -> bool {
         && (0..graph.link_count() as u32).all(|l| ctx.active[graph.link(l).dst as usize])
 }
 
-/// The scripted batched driver: drains span-bounded batches **capped one
-/// picosecond short of the next fault transition**, so a whole window runs
-/// through the batch kernel — `FAULT_FREE`-monomorphized whenever the
-/// window is actually fault-free, demoted to the masked kernel only while
-/// a fault is live. At the window boundary the loop replays events one at
-/// a time (identical arm bodies via [`handle_one`]) until the sentinel
-/// pops, applies the transition, and re-hoists the masks for the next
-/// window. Byte-identical to [`run_events_scripted`].
+/// The pop loop of [`run_windows`]: drain bucket batches of at most
+/// `span` past their first event, never past `cap`, and [`dispatch`]
+/// each. Returns the stale-event count.
 #[allow(clippy::too_many_arguments)]
-fn run_events_scripted_batched<Q: FutureEventList<Ev>, O: RunObserver>(
-    q: &mut Q,
-    setup: &mut RunSetup,
-    graph: &PulseGraph,
-    cfg: &SimConfig,
-    schedule: &Schedule,
-    nodes: &mut SoaNodes,
-    active: &mut [bool],
-    faulty: &mut [bool],
-    obs: &mut O,
-    arrivals: &mut [Vec<Arrival>],
-    batch_buf: &mut Vec<(Time, Ev)>,
-) -> (u64, u64) {
-    let script = cfg.script.as_ref().expect("scripted driver needs a script");
-    let transitions = script.transitions();
-    let mut next_tr = 0usize;
-    let mut stale = 0u64;
-    let mut seeded = false;
-    'windows: loop {
-        let ctx = RunCtx {
-            graph,
-            cfg,
-            behaviors: &setup.behaviors,
-            delays: &setup.delays,
-            active,
-            faulty,
-            all_links_correct: setup.behaviors.iter().all(|&b| b == LinkBehavior::Correct),
-            horizon: setup.horizon,
-        };
-        if !seeded {
-            seed_events(
-                q,
-                &ctx,
-                schedule,
-                &setup.sources,
-                nodes,
-                obs,
-                &mut setup.rng,
-            );
-            seeded = true;
-        }
-        // Batches must stop strictly before the next transition: the
-        // sentinel (and everything at its timestamp) is replayed through
-        // the scalar boundary loop below, preserving exact pop order.
-        let window_ends = next_tr < transitions.len() && transitions[next_tr].at <= ctx.horizon;
-        let cap = if window_ends {
-            Time::from_ps(transitions[next_tr].at.ps() - 1)
-        } else {
-            ctx.horizon
-        };
-        stale += if batch_fault_free(&ctx) {
-            drain_batches::<Q, O, true>(
-                q,
-                &ctx,
-                cap,
-                nodes,
-                obs,
-                arrivals,
-                &mut setup.rng,
-                batch_buf,
-            )
-        } else {
-            drain_batches::<Q, O, false>(
-                q,
-                &ctx,
-                cap,
-                nodes,
-                obs,
-                arrivals,
-                &mut setup.rng,
-                batch_buf,
-            )
-        };
-        if !window_ends {
-            // Final window: mirror the scalar loop's single beyond-horizon
-            // pop so `popped()` stays byte-identical.
-            if !q.is_empty() {
-                q.pop_next();
-            }
-            break;
-        }
-        // Window boundary: replay same-timestamp events individually until
-        // the sentinel pops (they precede it in `(time, seq)` order).
-        let mut pending: Option<u32> = None;
-        while let Some((now, payload)) = q.pop_next() {
-            if now > ctx.horizon {
-                break 'windows; // beyond-horizon event consumed, like the scalar path
-            }
-            match handle_one::<Q, O, true>(
-                now,
-                payload,
-                &ctx,
-                nodes,
-                obs,
-                arrivals,
-                q,
-                &mut setup.rng,
-            ) {
-                Step::Done => {}
-                Step::Stale => stale += 1,
-                Step::Script(index) => {
-                    pending = Some(index);
-                    break;
-                }
-            }
-        }
-        match pending {
-            Some(index) => {
-                debug_assert_eq!(index as usize, next_tr, "sentinels pop in timeline order");
-                apply_transition(
-                    q,
-                    transitions[index as usize],
-                    graph,
-                    cfg,
-                    nodes,
-                    active,
-                    faulty,
-                    setup,
-                    obs,
-                );
-                next_tr = index as usize + 1;
-            }
-            None => break, // queue fully drained (unreachable: sentinel still queued)
-        }
-    }
-    (q.popped(), stale)
-}
-
-/// The batch-draining loop of [`run_events_batched`], monomorphized over
-/// the fault-free fast path. Returns the stale-event count.
-#[allow(clippy::too_many_arguments)]
-fn drain_batches<Q: FutureEventList<Ev>, O: RunObserver, const FAULT_FREE: bool>(
-    q: &mut Q,
+fn drain<O: RunObserver, const FAULT_FREE: bool>(
+    q: &mut CalendarQueue<Ev>,
     ctx: &RunCtx<'_>,
+    span: Duration,
     cap: Time,
     nodes: &mut SoaNodes,
     obs: &mut O,
@@ -1376,122 +948,150 @@ fn drain_batches<Q: FutureEventList<Ev>, O: RunObserver, const FAULT_FREE: bool>
     rng: &mut SimRng,
     batch: &mut Vec<(Time, Ev)>,
 ) -> u64 {
+    let mut stale = 0u64;
+    while q.drain_bucket(span, cap, batch) > 0 {
+        stale += dispatch::<O, FAULT_FREE>(batch, ctx, nodes, obs, arrivals, q, rng);
+    }
+    stale
+}
+
+/// Process one batch of popped events in `(time, seq)` order against the
+/// SoA node arrays: the only copy of the per-event arms. Nothing in the
+/// batch can schedule back into it (see [`SimConfig::min_increment`]),
+/// so this replays the one-at-a-time order exactly. `FAULT_FREE` compiles
+/// out every fault and role check and the stuck-at-1 refresh; the masked
+/// kernel also rejects, as stale, the timers of a currently-faulty node,
+/// which a scripted fault needs (a static run never gives an inactive
+/// node a timer). Script sentinels never reach it. Returns the
+/// stale-event count.
+#[allow(clippy::too_many_arguments)]
+fn dispatch<O: RunObserver, const FAULT_FREE: bool>(
+    batch: &[(Time, Ev)],
+    ctx: &RunCtx<'_>,
+    nodes: &mut SoaNodes,
+    obs: &mut O,
+    arrivals: &mut [Vec<Arrival>],
+    q: &mut CalendarQueue<Ev>,
+    rng: &mut SimRng,
+) -> u64 {
     let graph = ctx.graph;
     let cfg = ctx.cfg;
     let record_arrivals = cfg.record_arrivals;
-    let span = cfg.min_increment();
     let mut stale = 0u64;
-    while q.pop_batch(span, cap, batch) > 0 {
-        // Sort-free same-kind grouping: the batch is already in (time, seq)
-        // pop order; split it into maximal consecutive runs of one event
-        // kind and dispatch each run with a single match. Order within and
-        // across runs is untouched, so the replay stays exact.
-        let mut i = 0;
-        while i < batch.len() {
-            let kind = batch[i].1.kind();
-            let mut j = i + 1;
-            while j < batch.len() && batch[j].1.kind() == kind {
-                j += 1;
+    // Sort-free same-kind grouping: the batch is already in (time, seq)
+    // pop order; split it into maximal consecutive runs of one event
+    // kind and dispatch each run with a single match. Order within and
+    // across runs is untouched, so the replay stays exact.
+    let mut i = 0;
+    while i < batch.len() {
+        let kind = batch[i].1.kind();
+        let mut j = i + 1;
+        while j < batch.len() && batch[j].1.kind() == kind {
+            j += 1;
+        }
+        match kind {
+            0 => {
+                for &(now, ev) in &batch[i..j] {
+                    let Ev::SourceFire { node } = ev else {
+                        unreachable!()
+                    };
+                    if !FAULT_FREE && ctx.faulty[node as usize] {
+                        continue; // mute/Byzantine source
+                    }
+                    obs.on_fire(node, now, TriggerCause::Source);
+                    broadcast::<FAULT_FREE>(node, now, ctx, q, rng);
+                }
             }
-            match kind {
-                0 => {
-                    for &(now, ev) in &batch[i..j] {
-                        let Ev::SourceFire { node } = ev else {
-                            unreachable!()
-                        };
-                        if !FAULT_FREE && ctx.faulty[node as usize] {
-                            continue; // mute/Byzantine source
-                        }
-                        obs.on_fire(node, now, TriggerCause::Source);
-                        broadcast::<Q, FAULT_FREE>(node, now, ctx, q, rng);
+            1 => {
+                for &(now, ev) in &batch[i..j] {
+                    let Ev::Deliver { link } = ev else {
+                        unreachable!()
+                    };
+                    let l = graph.link(link);
+                    let n = l.dst;
+                    if !FAULT_FREE && !ctx.active[n as usize] {
+                        continue;
                     }
-                }
-                1 => {
-                    for &(now, ev) in &batch[i..j] {
-                        let Ev::Deliver { link } = ev else {
-                            unreachable!()
-                        };
-                        let l = graph.link(link);
-                        let n = l.dst;
-                        if !FAULT_FREE && !ctx.active[n as usize] {
-                            continue;
+                    if let Some(epoch) = nodes.set_flag(n, l.dst_port) {
+                        if record_arrivals {
+                            arrivals[n as usize].push(Arrival {
+                                at: now,
+                                from: l.src,
+                                port: l.dst_port,
+                            });
                         }
-                        if let Some(epoch) = nodes.set_flag(n, l.dst_port) {
-                            if record_arrivals {
-                                arrivals[n as usize].push(Arrival {
-                                    at: now,
-                                    from: l.src,
-                                    port: l.dst_port,
-                                });
-                            }
-                            let dur = rng.duration_in(cfg.timing.link.lo, cfg.timing.link.hi);
-                            q.push(
-                                now + dur,
-                                Ev::LinkTimeout {
-                                    node: n,
-                                    port: l.dst_port,
-                                    epoch,
-                                },
-                            );
-                            maybe_fire::<Q, O, FAULT_FREE>(n, now, ctx, nodes, obs, q, rng);
-                        }
-                    }
-                }
-                2 => {
-                    for &(now, ev) in &batch[i..j] {
-                        let Ev::LinkTimeout { node, port, epoch } = ev else {
-                            unreachable!()
-                        };
-                        if !FAULT_FREE && !ctx.active[node as usize] {
-                            stale += 1; // timer owned by a currently-faulty node
-                            continue;
-                        }
-                        debug_assert!(
-                            epoch <= nodes.flag_epoch(node, port),
-                            "LinkTimeout from the future: node {node} port {port} \
-                             carries epoch {epoch} > current {}",
-                            nodes.flag_epoch(node, port)
+                        let dur = rng.duration_in(cfg.timing.link.lo, cfg.timing.link.hi);
+                        q.push(
+                            now + dur,
+                            Ev::LinkTimeout {
+                                node: n,
+                                port: l.dst_port,
+                                epoch,
+                            },
                         );
-                        if nodes.expire_flag(node, port, epoch) {
-                            if !FAULT_FREE {
+                        maybe_fire::<O, FAULT_FREE>(n, now, ctx, nodes, obs, q, rng);
+                    }
+                }
+            }
+            2 => {
+                for &(now, ev) in &batch[i..j] {
+                    let Ev::LinkTimeout { node, port, epoch } = ev else {
+                        unreachable!()
+                    };
+                    if !FAULT_FREE && !ctx.active[node as usize] {
+                        stale += 1; // timer owned by a currently-faulty node
+                        continue;
+                    }
+                    // Epoch bound: a timeout can carry at most the epoch it
+                    // was scheduled under, and epochs only move forward — a
+                    // popped epoch from the future means timer-cancellation
+                    // bookkeeping is corrupt (the dynamic twin of the
+                    // hex-lint determinism rules).
+                    debug_assert!(
+                        epoch <= nodes.flag_epoch(node, port),
+                        "LinkTimeout from the future: node {node} port {port} \
+                         carries epoch {epoch} > current {}",
+                        nodes.flag_epoch(node, port)
+                    );
+                    if nodes.expire_flag(node, port, epoch) {
+                        if !FAULT_FREE {
+                            refresh_stuck_one(node, port, now, ctx, nodes, q, rng);
+                        }
+                        maybe_fire::<O, FAULT_FREE>(node, now, ctx, nodes, obs, q, rng);
+                    } else {
+                        stale += 1;
+                    }
+                }
+            }
+            _ => {
+                for &(now, ev) in &batch[i..j] {
+                    let Ev::Wake { node, epoch } = ev else {
+                        unreachable!()
+                    };
+                    if !FAULT_FREE && !ctx.active[node as usize] {
+                        stale += 1; // timer owned by a currently-faulty node
+                        continue;
+                    }
+                    debug_assert!(
+                        epoch <= nodes.sleep_epoch(node),
+                        "Wake from the future: node {node} carries epoch {epoch} > current {}",
+                        nodes.sleep_epoch(node)
+                    );
+                    if nodes.wake(node, epoch) {
+                        if !FAULT_FREE {
+                            // All flags were cleared; stuck-1 re-asserts.
+                            for port in 0..graph.port_count(node) as u8 {
                                 refresh_stuck_one(node, port, now, ctx, nodes, q, rng);
                             }
-                            maybe_fire::<Q, O, FAULT_FREE>(node, now, ctx, nodes, obs, q, rng);
-                        } else {
-                            stale += 1;
                         }
-                    }
-                }
-                _ => {
-                    for &(now, ev) in &batch[i..j] {
-                        let Ev::Wake { node, epoch } = ev else {
-                            unreachable!()
-                        };
-                        if !FAULT_FREE && !ctx.active[node as usize] {
-                            stale += 1; // timer owned by a currently-faulty node
-                            continue;
-                        }
-                        debug_assert!(
-                            epoch <= nodes.sleep_epoch(node),
-                            "Wake from the future: node {node} carries epoch {epoch} > current {}",
-                            nodes.sleep_epoch(node)
-                        );
-                        if nodes.wake(node, epoch) {
-                            if !FAULT_FREE {
-                                // All flags were cleared; stuck-1 re-asserts.
-                                for port in 0..graph.port_count(node) as u8 {
-                                    refresh_stuck_one(node, port, now, ctx, nodes, q, rng);
-                                }
-                            }
-                            maybe_fire::<Q, O, FAULT_FREE>(node, now, ctx, nodes, obs, q, rng);
-                        } else {
-                            stale += 1;
-                        }
+                        maybe_fire::<O, FAULT_FREE>(node, now, ctx, nodes, obs, q, rng);
+                    } else {
+                        stale += 1;
                     }
                 }
             }
-            i = j;
         }
+        i = j;
     }
     stale
 }
@@ -1504,12 +1104,10 @@ fn drain_batches<Q: FutureEventList<Ev>, O: RunObserver, const FAULT_FREE: bool>
 /// per-run stream is untouched.
 ///
 /// Every event this pushes lands at `tr.at + positive duration`, i.e. at
-/// or after the last popped timestamp — no past-push, and identical
-/// `(time, seq)` interleaving on the scalar and batched paths (both call
-/// this at the exact same point of the pop sequence).
+/// or after the last popped timestamp — no past-push.
 #[allow(clippy::too_many_arguments)]
-fn apply_transition<Q: FutureEventList<Ev>, O: RunObserver>(
-    q: &mut Q,
+fn apply_transition<O: RunObserver>(
+    q: &mut CalendarQueue<Ev>,
     tr: FaultTransition,
     graph: &PulseGraph,
     cfg: &SimConfig,
@@ -1630,7 +1228,7 @@ fn apply_transition<Q: FutureEventList<Ev>, O: RunObserver>(
                 },
             );
         }
-        maybe_fire::<Q, O, false>(lk.dst, now, &ctx, nodes, obs, q, rng);
+        maybe_fire::<O, false>(lk.dst, now, &ctx, nodes, obs, q, rng);
     }
 
     // A healed node re-arms its stuck-at-1 in-ports (still-faulty
@@ -1652,20 +1250,20 @@ fn apply_transition<Q: FutureEventList<Ev>, O: RunObserver>(
             }
         }
         if ctx.active[node as usize] {
-            maybe_fire::<Q, O, false>(node, now, &ctx, nodes, obs, q, rng);
+            maybe_fire::<O, false>(node, now, &ctx, nodes, obs, q, rng);
         }
     }
 }
 
 /// If `node` is ready and its guard is satisfied, fire: observe the firing
 /// record, broadcast, sleep. `FAULT_FREE` only forwards to [`broadcast`].
-fn maybe_fire<Q: FutureEventList<Ev>, O: RunObserver, const FAULT_FREE: bool>(
+fn maybe_fire<O: RunObserver, const FAULT_FREE: bool>(
     node: NodeId,
     now: Time,
     ctx: &RunCtx<'_>,
     nodes: &mut SoaNodes,
     obs: &mut O,
-    q: &mut Q,
+    q: &mut CalendarQueue<Ev>,
     rng: &mut SimRng,
 ) {
     if nodes.is_sleeping(node) {
@@ -1685,7 +1283,7 @@ fn maybe_fire<Q: FutureEventList<Ev>, O: RunObserver, const FAULT_FREE: bool>(
             epoch: sleep_epoch,
         },
     );
-    broadcast::<Q, FAULT_FREE>(node, now, ctx, q, rng);
+    broadcast::<FAULT_FREE>(node, now, ctx, q, rng);
 }
 
 /// Send a trigger message on every correct outgoing link of `node`.
@@ -1694,11 +1292,11 @@ fn maybe_fire<Q: FutureEventList<Ev>, O: RunObserver, const FAULT_FREE: bool>(
 /// `FAULT_FREE`, where the branch is compiled out) the behaviors lookup is
 /// skipped entirely; the RNG stream is identical on both paths because
 /// every link is sampled either way.
-fn broadcast<Q: FutureEventList<Ev>, const FAULT_FREE: bool>(
+fn broadcast<const FAULT_FREE: bool>(
     node: NodeId,
     now: Time,
     ctx: &RunCtx<'_>,
-    q: &mut Q,
+    q: &mut CalendarQueue<Ev>,
     rng: &mut SimRng,
 ) {
     if FAULT_FREE || ctx.all_links_correct {
@@ -1717,15 +1315,15 @@ fn broadcast<Q: FutureEventList<Ev>, const FAULT_FREE: bool>(
 }
 
 /// A stuck-at-1 in-port re-asserts its memory flag the instant it was
-/// cleared. (The `FAULT_FREE` batched kernel never calls this: fault-free
+/// cleared. (The `FAULT_FREE` kernel never calls this: fault-free
 /// implies `all_links_correct`, under which this is a no-op.)
-fn refresh_stuck_one<Q: FutureEventList<Ev>>(
+fn refresh_stuck_one(
     node: NodeId,
     port: u8,
     now: Time,
     ctx: &RunCtx<'_>,
     nodes: &mut SoaNodes,
-    q: &mut Q,
+    q: &mut CalendarQueue<Ev>,
     rng: &mut SimRng,
 ) {
     if ctx.all_links_correct {
@@ -2051,81 +1649,40 @@ mod tests {
         }
     }
 
-    /// Every queue policy replays the identical execution: same seed, same
-    /// trace, across fault-free, faulty and corrupted-init regimes.
+    /// A dirty scratch carried across configurations whose calendar
+    /// geometries differ (paper vs. fixed delays: the bucket width tracks
+    /// the delivery jitter) still reproduces the fresh run each time: a
+    /// rebuilt ring and a recycled one behave like a new one.
     #[test]
-    fn queue_policies_produce_identical_traces() {
-        use hex_clock::{PulseTrain, Scenario};
-        let grid = HexGrid::new(8, 6);
-        let mut rng = SimRng::seed_from_u64(3);
-        let multi =
-            PulseTrain::new(Scenario::Zero, 3, Duration::from_ns(300.0)).generate(6, &mut rng);
-        let configs: Vec<(SimConfig, Schedule)> = vec![
-            (SimConfig::fault_free(), zero_schedule(6)),
-            (
-                SimConfig {
-                    faults: FaultPlan::none().with_node(grid.node(3, 2), NodeFault::Byzantine),
-                    timing: Timing::paper_scenario_iii(),
-                    ..SimConfig::fault_free()
-                },
-                zero_schedule(6),
-            ),
-            (
-                SimConfig {
-                    timing: Timing::paper_scenario_iii(),
-                    init: InitState::Arbitrary,
-                    record_arrivals: true,
-                    ..SimConfig::fault_free()
-                },
-                multi,
-            ),
-        ];
-        for (cfg, sched) in &configs {
-            let reference = simulate(grid.graph(), sched, cfg, 77);
-            for policy in [QueuePolicy::QuadHeap, QueuePolicy::Calendar] {
-                let alt = SimConfig {
-                    queue: policy,
-                    ..cfg.clone()
-                };
-                let trace = simulate(grid.graph(), sched, &alt, 77);
-                assert_eq!(trace, reference, "policy {policy:?} diverged");
-            }
-        }
-    }
-
-    /// A dirty scratch carried *across* queue policies still reproduces
-    /// the fresh run for each policy.
-    #[test]
-    fn scratch_reuse_across_policy_changes() {
+    fn scratch_reuse_across_ring_geometries() {
         let grid = HexGrid::new(7, 5);
         let sched = zero_schedule(5);
+        let jittered = SimConfig::fault_free();
+        let fixed = SimConfig {
+            delays: DelayModel::Fixed(D_PLUS),
+            ..SimConfig::fault_free()
+        };
+        assert_ne!(
+            calendar_geometry(&jittered, grid.graph().node_count()),
+            calendar_geometry(&fixed, grid.graph().node_count())
+        );
         let mut scratch = SimScratch::new();
-        for (i, policy) in [
-            QueuePolicy::Calendar,
-            QueuePolicy::BinaryHeap,
-            QueuePolicy::QuadHeap,
-            QueuePolicy::Calendar,
-            QueuePolicy::QuadHeap,
-        ]
-        .into_iter()
-        .enumerate()
+        for (i, cfg) in [&jittered, &fixed, &fixed, &jittered, &fixed]
+            .into_iter()
+            .enumerate()
         {
-            let cfg = SimConfig {
-                queue: policy,
-                ..SimConfig::fault_free()
-            };
             let seed = 100 + i as u64;
-            let fresh = simulate(grid.graph(), &sched, &cfg, seed);
-            let reused = simulate_into(&mut scratch, grid.graph(), &sched, &cfg, seed);
-            assert_eq!(&fresh, reused, "step {i} under {policy:?}");
+            let fresh = simulate(grid.graph(), &sched, cfg, seed);
+            let reused = simulate_into(&mut scratch, grid.graph(), &sched, cfg, seed);
+            assert_eq!(&fresh, reused, "step {i}");
         }
-        // Policy churn never re-grows the trace-sized buffers.
+        // Geometry churn never re-grows the trace-sized buffers.
         assert_eq!(scratch.grow_count(), 1);
     }
 
-    /// The stale counter sees exactly the epoch-rejected churn: zero in
-    /// the generous single-pulse regime, positive under tight timeouts
-    /// with corrupted init, and identical across queue policies.
+    /// The stale counter sees exactly the epoch-rejected churn: a strict
+    /// share of the pops in the generous single-pulse regime and under
+    /// tight timeouts with corrupted init.
     #[test]
     fn stale_counter_tracks_epoch_rejections() {
         use hex_clock::{PulseTrain, Scenario};
@@ -2159,26 +1716,17 @@ mod tests {
             init: InitState::Arbitrary,
             ..SimConfig::fault_free()
         };
-        let mut counts = Vec::new();
-        for policy in QueuePolicy::ALL {
-            let cfg = SimConfig {
-                queue: policy,
-                ..cfg.clone()
-            };
-            simulate_into(&mut scratch, grid.graph(), &multi, &cfg, 2);
-            counts.push((scratch.popped_events(), scratch.stale_events()));
-        }
-        assert!(counts[0].1 > 0, "corrupted multi-pulse runs churn timeouts");
-        assert!(counts[0].1 < counts[0].0, "stale events are a strict share");
-        assert_eq!(counts[0], counts[1], "quad heap diverged");
-        assert_eq!(counts[0], counts[2], "calendar diverged");
+        simulate_into(&mut scratch, grid.graph(), &multi, &cfg, 2);
+        let (popped, stale) = (scratch.popped_events(), scratch.stale_events());
+        assert!(stale > 0, "corrupted multi-pulse runs churn timeouts");
+        assert!(stale < popped, "stale events are a strict share");
     }
 
     /// The streaming observer path replays the identical execution: the
-    /// binner's slots match the trace-then-view extraction for every
-    /// queue policy, with one dirty scratch carried across both paths.
+    /// binner's slots match the trace-then-view extraction, with one dirty
+    /// scratch carried across both paths.
     #[test]
-    fn observed_run_matches_trace_extraction_across_policies() {
+    fn observed_run_matches_trace_extraction() {
         use crate::trace::{assign_pulses, PulseView};
         use hex_clock::{PulseTrain, Scenario};
 
@@ -2190,12 +1738,9 @@ mod tests {
         let d_mid = hex_core::DelayRange::paper().mid();
         let mut scratch = SimScratch::new();
 
-        for policy in QueuePolicy::ALL {
+        {
             // Single pulse: binner slots == PulseView::from_single_pulse.
-            let cfg = SimConfig {
-                queue: policy,
-                ..SimConfig::fault_free()
-            };
+            let cfg = SimConfig::fault_free();
             let trace = simulate(grid.graph(), &single, &cfg, 5);
             let view = PulseView::from_single_pulse(&grid, &trace);
             let binner = simulate_observed_into(&mut scratch, &grid, &single, &cfg, 5, d_mid);
@@ -2205,15 +1750,14 @@ mod tests {
                     assert_eq!(
                         binner.grid_time(0, layer, col),
                         view.time(layer, col),
-                        "{policy:?} node ({layer},{col})"
+                        "node ({layer},{col})"
                     );
                 }
             }
-            assert_eq!(binner.spurious(), view.spurious, "{policy:?}");
+            assert_eq!(binner.spurious(), view.spurious);
 
             // Multi pulse with corrupted init: binner == assign_pulses.
             let cfg = SimConfig {
-                queue: policy,
                 timing: Timing::paper_scenario_iii(),
                 init: InitState::Arbitrary,
                 ..SimConfig::fault_free()
@@ -2230,12 +1774,12 @@ mod tests {
                         assert_eq!(
                             binner.grid_time(k, layer, col),
                             v.time(layer, col),
-                            "{policy:?} pulse {k} node ({layer},{col})"
+                            "pulse {k} node ({layer},{col})"
                         );
                     }
                 }
             }
-            assert_eq!(binner.spurious(), spurious, "{policy:?}");
+            assert_eq!(binner.spurious(), spurious);
         }
         // Both paths shared the scratch without regrowing its buffers.
         assert_eq!(scratch.grow_count(), 1);
@@ -2259,8 +1803,8 @@ mod tests {
     }
 
     /// Regression net for the scratch work counters: **every** reuse path
-    /// (same-policy reuse, policy switch, the observed entry point, and a
-    /// run that pops zero events) must leave `popped_events` /
+    /// (same-geometry reuse, a ring rebuild, the observed entry point, and
+    /// a run that pops zero events) must leave `popped_events` /
     /// `stale_events` describing the *most recent* run only — never a
     /// stale or accumulated value from earlier runs through the same
     /// scratch.
@@ -2309,17 +1853,32 @@ mod tests {
         );
         assert_eq!(scratch.popped_events(), first, "observed path diverged");
 
-        // A policy switch through the same scratch still reports
-        // per-run work.
-        let alt = SimConfig {
-            queue: QueuePolicy::QuadHeap,
+        // A ring rebuild (fixed delays, another geometry) through the
+        // same scratch reports that run's work, then the original
+        // geometry reports its own again.
+        let fixed = SimConfig {
+            delays: DelayModel::Fixed(D_PLUS),
             ..SimConfig::fault_free()
         };
-        simulate_into(&mut scratch, grid.graph(), &sched, &alt, 1);
+        simulate_into(&mut scratch, grid.graph(), &sched, &fixed, 1);
+        let mut fresh = SimScratch::new();
+        simulate_into(&mut fresh, grid.graph(), &sched, &fixed, 1);
+        assert_eq!(
+            scratch.popped_events(),
+            fresh.popped_events(),
+            "ring rebuild leaked counters"
+        );
+        simulate_into(
+            &mut scratch,
+            grid.graph(),
+            &sched,
+            &SimConfig::fault_free(),
+            1,
+        );
         assert_eq!(
             scratch.popped_events(),
             first,
-            "policy switch leaked counters"
+            "geometry switch leaked counters"
         );
 
         // A run that pops nothing (no scheduled pulses, clean init) must
@@ -2342,117 +1901,125 @@ mod tests {
         );
     }
 
-    /// The tentpole wall: the bucket-batched SoA kernels replay the scalar
-    /// reference byte-for-byte — fires, arrivals, popped/stale counters —
-    /// across every queue policy and every regime that exercises a
-    /// different kernel shape (fault-free fast path, faulty masks,
-    /// corrupted init with short residual timeouts).
+    /// The batching wall: the production driver (bucket batches spanning
+    /// `min_increment`, the fault-free kernel whenever a window allows it)
+    /// replays the one-instant reference — trace, arrivals and popped/stale
+    /// counters — in the four regimes that shape the kernel differently:
+    /// fault-free, Byzantine, arbitrary-init multi-pulse (pre-loop
+    /// residuals shorter than the batch span, heavy stale churn), and a
+    /// script mixing every transition kind with two transitions at one
+    /// instant. Each side carries its own dirty scratch across regimes.
     #[test]
-    fn batched_kernels_match_scalar_reference() {
+    fn batched_driver_matches_one_instant_reference() {
         use hex_clock::{PulseTrain, Scenario};
         let grid = HexGrid::new(8, 6);
+        let single = zero_schedule(6);
         let mut rng = SimRng::seed_from_u64(3);
         let multi =
             PulseTrain::new(Scenario::Zero, 4, Duration::from_ns(300.0)).generate(6, &mut rng);
-        let configs: Vec<(SimConfig, Schedule)> = vec![
-            // Fault-free clean start: the FAULT_FREE monomorphization.
-            (SimConfig::fault_free(), zero_schedule(6)),
-            // Byzantine node (stuck-at links, inert source): masked path.
+        let script = FaultScript::none()
+            .with(
+                Time::from_ns(40.0),
+                FaultEvent::Fail(grid.node(3, 2), NodeFault::Byzantine),
+            )
+            .with(
+                Time::from_ns(400.0),
+                FaultEvent::Heal(grid.node(3, 2), RejoinState::Arbitrary),
+            )
+            .with(
+                Time::from_ns(400.0),
+                FaultEvent::Fail(grid.node(1, 4), NodeFault::FailSilent),
+            )
+            .with(
+                Time::from_ns(700.0),
+                FaultEvent::Heal(grid.node(1, 4), RejoinState::Clean),
+            )
+            .with(
+                Time::from_ns(900.0),
+                FaultEvent::LinkDown(5, LinkBehavior::StuckOne),
+            )
+            .with(Time::from_ns(1_100.0), FaultEvent::LinkUp(5));
+        let tight = SimConfig {
+            timing: Timing::paper_scenario_iii(),
+            record_arrivals: true,
+            ..SimConfig::fault_free()
+        };
+        let regimes: Vec<(&str, SimConfig, &Schedule)> = vec![
             (
+                "fault-free",
+                SimConfig {
+                    record_arrivals: true,
+                    ..SimConfig::fault_free()
+                },
+                &single,
+            ),
+            (
+                "byzantine",
                 SimConfig {
                     faults: FaultPlan::none().with_node(grid.node(3, 2), NodeFault::Byzantine),
-                    timing: Timing::paper_scenario_iii(),
-                    record_arrivals: true,
-                    ..SimConfig::fault_free()
+                    ..tight.clone()
                 },
-                zero_schedule(6),
+                &single,
             ),
-            // Corrupted init, tight timing, multi-pulse: heavy stale churn
-            // and pre-loop residuals shorter than the batch span.
             (
+                "arbitrary-init",
                 SimConfig {
-                    timing: Timing::paper_scenario_iii(),
                     init: InitState::Arbitrary,
-                    record_arrivals: true,
-                    ..SimConfig::fault_free()
+                    ..tight.clone()
                 },
-                multi,
+                &multi,
+            ),
+            (
+                "scripted",
+                SimConfig {
+                    script: Some(script),
+                    ..tight.clone()
+                },
+                &multi,
             ),
         ];
-        let mut scalar_scratch = SimScratch::new();
-        let mut batched_scratch = SimScratch::new();
-        for (cfg, sched) in &configs {
-            for policy in QueuePolicy::ALL {
-                let scalar = SimConfig {
-                    queue: policy,
-                    batch: false,
-                    ..cfg.clone()
-                };
-                let batched = SimConfig {
-                    batch: true,
-                    ..scalar.clone()
-                };
-                let s =
-                    simulate_into(&mut scalar_scratch, grid.graph(), sched, &scalar, 77).clone();
-                let counters = (
-                    scalar_scratch.popped_events(),
-                    scalar_scratch.stale_events(),
-                );
-                let b = simulate_into(&mut batched_scratch, grid.graph(), sched, &batched, 77);
-                assert_eq!(b, &s, "batched diverged under {policy:?}");
+        let mut production = SimScratch::new();
+        let mut reference = SimScratch::new();
+        for (name, cfg, sched) in &regimes {
+            for seed in [77u64, 78] {
+                let want = simulate_reference_into(&mut reference, grid.graph(), sched, cfg, seed);
+                let got = simulate_into(&mut production, grid.graph(), sched, cfg, seed);
+                assert_eq!(got, want, "{name}/seed {seed}: trace diverged");
                 assert_eq!(
-                    (
-                        batched_scratch.popped_events(),
-                        batched_scratch.stale_events()
-                    ),
-                    counters,
-                    "work counters diverged under {policy:?}"
+                    (production.popped_events(), production.stale_events()),
+                    (reference.popped_events(), reference.stale_events()),
+                    "{name}/seed {seed}: work counters diverged"
                 );
             }
         }
     }
 
-    /// The streaming observer sees the identical execution from the
-    /// batched kernels, with one dirty scratch alternating between the
-    /// scalar and batched paths (dirty-scratch reuse across dispatch
-    /// strategies must be as inert as across queue policies).
+    /// The streaming observer sees the identical execution on the
+    /// production driver and the one-instant reference, with one dirty
+    /// scratch alternating between them.
     #[test]
-    fn batched_observed_path_matches_scalar_with_shared_scratch() {
+    fn observed_path_matches_reference_with_shared_scratch() {
         let grid = HexGrid::new(7, 6);
         let sched = zero_schedule(6);
         let d_mid = hex_core::DelayRange::paper().mid();
+        let cfg = SimConfig {
+            timing: Timing::paper_scenario_iii(),
+            init: InitState::AllFlagsSet,
+            ..SimConfig::fault_free()
+        };
         let mut scratch = SimScratch::new();
-        for policy in QueuePolicy::ALL {
-            let scalar = SimConfig {
-                queue: policy,
-                batch: false,
-                timing: Timing::paper_scenario_iii(),
-                init: InitState::AllFlagsSet,
-                ..SimConfig::fault_free()
-            };
-            let batched = SimConfig {
-                batch: true,
-                ..scalar.clone()
-            };
-            // Same scratch, alternating strategies: batched first (dirties
-            // the batch buffer), then scalar, then batched again.
-            let b1: Vec<_> =
-                simulate_observed_into(&mut scratch, &grid, &sched, &batched, 9, d_mid)
-                    .slots()
-                    .to_vec();
-            let s: Vec<_> = simulate_observed_into(&mut scratch, &grid, &sched, &scalar, 9, d_mid)
+        let b1: Vec<_> = simulate_observed_into(&mut scratch, &grid, &sched, &cfg, 9, d_mid)
+            .slots()
+            .to_vec();
+        let r: Vec<_> =
+            simulate_observed_reference_into(&mut scratch, &grid, &sched, &cfg, 9, d_mid)
                 .slots()
                 .to_vec();
-            let b2: Vec<_> =
-                simulate_observed_into(&mut scratch, &grid, &sched, &batched, 9, d_mid)
-                    .slots()
-                    .to_vec();
-            assert_eq!(b1, s, "batched observer diverged under {policy:?}");
-            assert_eq!(
-                b2, s,
-                "dirty-scratch batched rerun diverged under {policy:?}"
-            );
-        }
+        let b2: Vec<_> = simulate_observed_into(&mut scratch, &grid, &sched, &cfg, 9, d_mid)
+            .slots()
+            .to_vec();
+        assert_eq!(b1, r, "observer diverged from the reference");
+        assert_eq!(b2, r, "dirty-scratch rerun diverged");
         assert_eq!(scratch.grow_count(), 1);
     }
 
@@ -2473,16 +2040,13 @@ mod tests {
         assert!(tight.min_increment() > Duration::ZERO);
     }
 
+    /// The benchmark harness prints these in its config line, which must
+    /// keep reading `queue=calendar batch_default=true shard_default=1`.
     #[test]
-    fn queue_policy_labels_round_trip() {
-        for policy in QueuePolicy::ALL {
-            assert_eq!(policy.label().parse::<QueuePolicy>().unwrap(), policy);
-        }
-        assert_eq!(
-            "quad".parse::<QueuePolicy>().unwrap(),
-            QueuePolicy::QuadHeap
-        );
-        assert!("fibonacci".parse::<QueuePolicy>().is_err());
+    fn harness_stubs_report_the_one_engine_path() {
+        assert_eq!(QueuePolicy::default().label(), "calendar");
+        assert!(batch_default());
+        assert_eq!(shard_default(), 1);
     }
 
     /// A scripted mid-run crash silences the victim for exactly its
@@ -2534,66 +2098,10 @@ mod tests {
         }
     }
 
-    /// Scripted campaigns replay byte-identically across every queue
-    /// policy and between the scalar and bucket-batched drivers, with a
-    /// dirty scratch shared across all legs. The script mixes every
-    /// transition kind: a Byzantine burst with an adversarial rejoin, a
-    /// crash + clean rejoin overlapping it, and a link flap.
-    #[test]
-    fn scripted_runs_replay_identically_across_policies_and_dispatch() {
-        use hex_clock::{PulseTrain, Scenario};
-        let grid = HexGrid::new(6, 6);
-        let mut rng = SimRng::seed_from_u64(71);
-        let sched =
-            PulseTrain::new(Scenario::Zero, 5, Duration::from_ns(300.0)).generate(6, &mut rng);
-        let script = FaultScript::none()
-            .with(
-                Time::from_ns(40.0),
-                FaultEvent::Fail(grid.node(3, 2), NodeFault::Byzantine),
-            )
-            .with(
-                Time::from_ns(400.0),
-                FaultEvent::Heal(grid.node(3, 2), RejoinState::Arbitrary),
-            )
-            .with(
-                Time::from_ns(400.0),
-                FaultEvent::Fail(grid.node(1, 4), NodeFault::FailSilent),
-            )
-            .with(
-                Time::from_ns(700.0),
-                FaultEvent::Heal(grid.node(1, 4), RejoinState::Clean),
-            )
-            .with(
-                Time::from_ns(900.0),
-                FaultEvent::LinkDown(5, LinkBehavior::StuckOne),
-            )
-            .with(Time::from_ns(1_100.0), FaultEvent::LinkUp(5));
-        let base = SimConfig {
-            timing: Timing::paper_scenario_iii(),
-            record_arrivals: true,
-            script: Some(script),
-            ..SimConfig::fault_free()
-        };
-        let reference = simulate(grid.graph(), &sched, &base, 77);
-        let mut scratch = SimScratch::new();
-        for policy in QueuePolicy::ALL {
-            for batch in [false, true] {
-                let cfg = SimConfig {
-                    queue: policy,
-                    batch,
-                    ..base.clone()
-                };
-                let t = simulate_into(&mut scratch, grid.graph(), &sched, &cfg, 77);
-                assert_eq!(t, &reference, "{policy:?} batch={batch} diverged");
-            }
-        }
-    }
-
     /// Metamorphic: a script whose whole disturbance heals cleanly before
     /// the wavefront reaches the victim leaves no observable trace — the
-    /// run is byte-identical to the unscripted one on both dispatch
-    /// paths (the script machinery draws only from its own salted RNG
-    /// stream).
+    /// run is byte-identical to the unscripted one (the script machinery
+    /// draws only from its own salted RNG stream).
     #[test]
     fn script_healed_before_the_wave_is_invisible() {
         let grid = HexGrid::new(5, 6);
@@ -2605,19 +2113,14 @@ mod tests {
         assert!(heal < Time::ZERO + D_MINUS.times(4));
         let script =
             FaultScript::crash_rejoin(victim, Time::from_ps(1_000), heal, RejoinState::Clean);
-        for batch in [false, true] {
-            let plain = SimConfig {
-                batch,
-                ..SimConfig::fault_free()
-            };
-            let scripted = SimConfig {
-                script: Some(script.clone()),
-                ..plain.clone()
-            };
-            let a = simulate(grid.graph(), &sched, &plain, 83);
-            let b = simulate(grid.graph(), &sched, &scripted, 83);
-            assert_eq!(a, b, "healed-in-place script left a trace (batch={batch})");
-        }
+        let plain = SimConfig::fault_free();
+        let scripted = SimConfig {
+            script: Some(script),
+            ..plain.clone()
+        };
+        let a = simulate(grid.graph(), &sched, &plain, 83);
+        let b = simulate(grid.graph(), &sched, &scripted, 83);
+        assert_eq!(a, b, "healed-in-place script left a trace");
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! ([`KNOWN`]) and every caller goes through one strict parser.
 //!
 //! Knobs are read at explicit points (`RunSpec::with_env`,
-//! `QueuePolicy::default`, `Emitter::from_env`, bench setup) — never
-//! deep inside the engine hot path.
+//! `ServeConfig::from_knobs`, `Emitter::from_env`, bench setup) — never
+//! inside the engine. None of them selects how the engine runs: it has
+//! one event list and one driver.
 
 use std::str::FromStr;
 
@@ -27,14 +28,6 @@ pub const KNOWN: &[(&str, &str)] = &[
     ),
     ("HEX_SEED", "base-seed override for RunSpec sweeps"),
     ("HEX_THREADS", "worker-thread-count override for batch runs"),
-    (
-        "HEX_QUEUE",
-        "future-event-list policy: binary_heap | quad_heap | calendar",
-    ),
-    (
-        "HEX_BATCH",
-        "engine dispatch: on = bucket-batched SoA kernels (default) | off = scalar reference",
-    ),
     ("HEX_EMIT", "table output format: csv | json | off"),
     ("HEX_CSV", "legacy alias for HEX_EMIT=csv (presence only)"),
     (
@@ -101,10 +94,8 @@ mod tests {
     use super::*;
 
     // The env mutations below cannot race other readers: every test that
-    // touches these knob names within this crate is in this module or
-    // documents the same single-reader argument (see
-    // `hex_queue_env_knob_selects_the_policy` in spec.rs, which uses
-    // HEX_QUEUE — not touched here).
+    // touches these knob names within this crate is in this module, and
+    // each documents why no concurrent test reads the name it sets.
 
     #[test]
     fn unset_knob_reads_none() {

@@ -13,7 +13,7 @@
 //!
 //! Every transition method mirrors the corresponding [`NodeState`] method
 //! *exactly* — same epoch bumps, same return values, same panics — so the
-//! scalar and batched engine paths stay byte-identical. The parity proptest
+//! engine's batch kernel runs Algorithm 1 unchanged. The parity proptest
 //! at the bottom drives both representations through identical random
 //! operation sequences and compares every observable after every step.
 //! `fire_count` is intentionally not replicated: the engine never reads it

@@ -44,7 +44,7 @@ use hex_des::{Duration, Schedule, SimRng};
 
 use crate::batch::{self, Reducer};
 use crate::engine::{
-    simulate, simulate_into, simulate_observed_into, InitState, QueuePolicy, SimConfig, SimScratch,
+    simulate, simulate_into, simulate_observed_into, InitState, SimConfig, SimScratch,
 };
 use crate::knobs;
 use crate::observe::PulseBinner;
@@ -293,9 +293,6 @@ pub struct RunSpec {
     pub timing: TimingPolicy,
     /// Link-delay model.
     pub delays: DelayModel,
-    /// Future-event-list implementation (byte-identical output across
-    /// policies; a pure performance knob).
-    pub queue: QueuePolicy,
     /// Explicit layer-0 schedule override (adversarial constructions);
     /// `None` derives the schedule from `scenario`/`pulses` per run.
     pub schedule: Option<Schedule>,
@@ -318,7 +315,6 @@ impl RunSpec {
             pulses: 1,
             timing: TimingPolicy::Table3,
             delays: DelayModel::paper(),
-            queue: QueuePolicy::default(),
             schedule: None,
         }
     }
@@ -333,14 +329,13 @@ impl RunSpec {
         RunSpec::grid(12, 8).runs(20).threads(2)
     }
 
-    /// Paper setup with `HEX_RUNS` / `HEX_SEED` / `HEX_THREADS` /
-    /// `HEX_QUEUE` applied.
+    /// Paper setup with `HEX_RUNS` / `HEX_SEED` / `HEX_THREADS` applied.
     pub fn from_env() -> Self {
         RunSpec::paper().with_env()
     }
 
-    /// Apply the `HEX_RUNS` / `HEX_SEED` / `HEX_THREADS` / `HEX_QUEUE`
-    /// environment knobs on top of this spec (drivers with non-paper
+    /// Apply the `HEX_RUNS` / `HEX_SEED` / `HEX_THREADS` environment
+    /// knobs on top of this spec (drivers with non-paper
     /// defaults chain this: `RunSpec::grid(12, 4).runs(100).with_env()`).
     pub fn with_env(mut self) -> Self {
         if let Some(v) = knobs::parsed("HEX_RUNS", "a number") {
@@ -351,9 +346,6 @@ impl RunSpec {
         }
         if let Some(v) = knobs::parsed("HEX_THREADS", "a number") {
             self.threads = v;
-        }
-        if let Some(v) = knobs::parsed("HEX_QUEUE", "binary_heap, quad_heap or calendar") {
-            self.queue = v;
         }
         self
     }
@@ -410,13 +402,6 @@ impl RunSpec {
     /// Set the link-delay model.
     pub fn delays(mut self, delays: DelayModel) -> Self {
         self.delays = delays;
-        self
-    }
-
-    /// Set the future-event-list implementation (the `HEX_QUEUE` knob;
-    /// byte-identical output across policies).
-    pub fn queue(mut self, queue: QueuePolicy) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -498,12 +483,6 @@ impl RunSpec {
             init: self.init,
             horizon: None,
             record_arrivals: false,
-            queue: self.queue,
-            // Like `threads`, the dispatch strategy is not part of the
-            // spec vocabulary (and not canonically encoded): batched and
-            // scalar kernels are byte-identical, so the process-wide
-            // `HEX_BATCH` default applies.
-            batch: crate::engine::batch_default(),
         };
         RunInputs {
             seed,
@@ -850,29 +829,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_policy_threads_through_to_the_engine() {
-        let base = RunSpec::grid(6, 5).runs(2).threads(1).seed(11);
-        let reference = base.clone().run_batch();
-        for policy in QueuePolicy::ALL {
-            let spec = base.clone().queue(policy);
-            assert_eq!(spec.materialize(0).config.queue, policy);
-            // A pure performance knob: batch output is identical.
-            assert_eq!(spec.run_batch(), reference, "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn hex_queue_env_knob_selects_the_policy() {
-        // No other test in this crate reads HEX_QUEUE, so the brief global
-        // mutation cannot race a reader.
-        std::env::set_var("HEX_QUEUE", "calendar");
-        let spec = RunSpec::grid(4, 4).with_env();
-        std::env::remove_var("HEX_QUEUE");
-        assert_eq!(spec.queue, QueuePolicy::Calendar);
-        assert_eq!(RunSpec::grid(4, 4).with_env().queue, QueuePolicy::default());
-    }
-
-    #[test]
     fn run_one_into_reuses_one_trace_allocation() {
         let spec = RunSpec::grid(8, 6).runs(10).scenario(Scenario::Ramp);
         let grid = spec.hex_grid();
@@ -1022,12 +978,12 @@ mod tests {
             }
         }
 
-        /// The observed-fold wall for the batched kernels: for randomized
+        /// The observed-fold wall for the batch kernel: for randomized
         /// specs, every run's streamed [`PulseBinner`] — the exact state
-        /// [`RunSpec::fold_observed`] reduces — is identical whether the
-        /// engine dispatches one event at a time or in bucket batches,
-        /// across all three queue policies, each side on its own dirty
-        /// reused scratch.
+        /// [`RunSpec::fold_observed`] reduces — is identical on the
+        /// production driver and on the one-instant reference (the
+        /// one-at-a-time pop order), each side on its own dirty reused
+        /// scratch.
         #[test]
         fn prop_batched_observed_runs_equal_scalar(
             length in 4u32..8,
@@ -1061,31 +1017,20 @@ mod tests {
             let mut batched_scratch = SimScratch::new();
             for run in 0..spec.runs {
                 let inputs = spec.materialize(run);
-                for policy in QueuePolicy::ALL {
-                    let scalar_cfg = SimConfig {
-                        queue: policy,
-                        batch: false,
-                        ..inputs.config.clone()
-                    };
-                    let batched_cfg = SimConfig {
-                        batch: true,
-                        ..scalar_cfg.clone()
-                    };
-                    let s = simulate_observed_into(
-                        &mut scalar_scratch, &grid, &inputs.schedule,
-                        &scalar_cfg, inputs.seed, d_mid,
-                    );
-                    let (slots, spurious) = (s.slots().to_vec(), s.spurious());
-                    let b = simulate_observed_into(
-                        &mut batched_scratch, &grid, &inputs.schedule,
-                        &batched_cfg, inputs.seed, d_mid,
-                    );
-                    prop_assert_eq!(
-                        b.slots(), &slots[..],
-                        "run {} under {:?}: batched binner diverged", run, policy
-                    );
-                    prop_assert_eq!(b.spurious(), spurious);
-                }
+                let s = crate::engine::simulate_observed_reference_into(
+                    &mut scalar_scratch, &grid, &inputs.schedule,
+                    &inputs.config, inputs.seed, d_mid,
+                );
+                let (slots, spurious) = (s.slots().to_vec(), s.spurious());
+                let b = simulate_observed_into(
+                    &mut batched_scratch, &grid, &inputs.schedule,
+                    &inputs.config, inputs.seed, d_mid,
+                );
+                prop_assert_eq!(
+                    b.slots(), &slots[..],
+                    "run {}: batched binner diverged", run
+                );
+                prop_assert_eq!(b.spurious(), spurious);
             }
         }
     }

@@ -1,22 +1,18 @@
 //! The dynamic twin of the `hex-lint` static rules: `debug_assert!`
-//! invariants wired into the engine and all three event-queue
-//! implementations must hold across every queue policy.
+//! invariants wired into the engine and its calendar event queue must
+//! hold in every demanding regime.
 //!
 //! Tests compile with `debug_assertions` on, so simply *driving* the
 //! engine through demanding regimes (Byzantine, mixed, arbitrary
 //! initial states, multi-pulse, scratch reuse) exercises:
 //!
-//! * pop-time monotonicity in `EventQueue` / `QuadHeapQueue` /
-//!   `CalendarQueue` (`pop` never hands back an instant behind `now`);
+//! * pop-time monotonicity in `CalendarQueue` (`pop` never hands back an
+//!   instant behind `now`);
 //! * the engine's epoch bounds (no `LinkTimeout`/`Wake` ever pops with
 //!   an epoch newer than its target's counter).
-//!
-//! The cross-policy equality assertions double as the reason the
-//! invariants *can* be this strict: all three queues are pinned to one
-//! observable behavior.
 
 use hex_sim::engine::SimScratch;
-use hex_sim::{FaultRegime, InitState, QueuePolicy, RunSpec};
+use hex_sim::{FaultRegime, InitState, RunSpec};
 
 fn demanding_specs() -> Vec<(&'static str, RunSpec)> {
     vec![
@@ -44,54 +40,40 @@ fn demanding_specs() -> Vec<(&'static str, RunSpec)> {
     ]
 }
 
-/// Every queue policy survives every demanding regime with debug
-/// assertions enabled, and produces the same batch output.
+/// Every demanding regime runs with debug assertions enabled, and the
+/// parallel batch equals the run-by-run fresh-scratch output.
 #[test]
-fn invariants_hold_across_all_queue_policies() {
-    // The point of this test is exercising the queues' debug_assert!
-    // invariants; under a release test profile only the output-equality
-    // half still bites, so flag that loudly instead of failing.
+fn invariants_hold_in_demanding_regimes() {
+    // The point of this test is exercising the debug_assert! invariants;
+    // under a release test profile only the output-equality half still
+    // bites, so flag that loudly instead of failing.
     if !cfg!(debug_assertions) {
         eprintln!("note: debug assertions are off; only checking output equality");
     }
     for (name, spec) in demanding_specs() {
-        let reference = spec.clone().queue(QueuePolicy::BinaryHeap).run_batch();
-        for policy in QueuePolicy::ALL {
-            let got = spec.clone().queue(policy).run_batch();
-            assert_eq!(got, reference, "{name} under {policy:?}");
-        }
-    }
-}
-
-/// Scratch reuse across policy switches keeps the invariants intact:
-/// one dirty arena is driven through all three queues in turn.
-#[test]
-fn invariants_hold_through_dirty_scratch_policy_switches() {
-    let mut scratch = SimScratch::new();
-    for (name, spec) in demanding_specs() {
         let grid = spec.hex_grid();
-        let mut outputs = Vec::new();
-        for policy in QueuePolicy::ALL {
-            let spec = spec.clone().queue(policy);
-            for run in 0..spec_runs(&spec) {
-                let view = spec.run_one_into(&grid, &mut scratch, run).clone();
-                outputs.push((policy, run, view));
-            }
-        }
-        // Per-run outputs agree pairwise across the three policies.
-        let per_policy = outputs.len() / QueuePolicy::ALL.len();
-        for k in 0..per_policy {
-            let (_, _, ref a) = outputs[k];
-            for p in 1..QueuePolicy::ALL.len() {
-                let (policy, run, ref b) = outputs[p * per_policy + k];
-                assert_eq!(a, b, "{name} run {run} under {policy:?}");
-            }
+        for (run, got) in spec.run_batch().iter().enumerate() {
+            assert_eq!(got, &spec.run_one_with(&grid, run), "{name} run {run}");
         }
     }
 }
 
-fn spec_runs(spec: &RunSpec) -> usize {
-    // The demanding specs all use 3 runs; keep in one place.
-    let _ = spec;
-    3
+/// Scratch reuse keeps the invariants intact: one dirty arena is driven
+/// through every regime in turn, twice.
+#[test]
+fn invariants_hold_through_a_dirty_scratch() {
+    let mut scratch = SimScratch::new();
+    for pass in 0..2 {
+        for (name, spec) in demanding_specs() {
+            let grid = spec.hex_grid();
+            for run in 0..spec.runs {
+                let view = spec.run_one_into(&grid, &mut scratch, run).clone();
+                assert_eq!(
+                    view,
+                    spec.run_one_with(&grid, run),
+                    "{name} run {run} pass {pass}"
+                );
+            }
+        }
+    }
 }

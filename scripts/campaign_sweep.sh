@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Dynamic-fault campaign sweep: run the three canned `hexctl campaign`
 # regimes (burst / crash / churn) on the paper's 50x20 grid and record
-# the per-disturbance re-stabilization tables as CAMPAIGN.md. Before a
-# regime is recorded, its stdout is required to be byte-identical across
-# the three queue policies and both dispatch modes — the determinism
-# claim the committed table rests on, re-proven at generation time.
+# the per-disturbance re-stabilization tables as CAMPAIGN.md. The output
+# is a pure function of the engine and the seed; CI reruns this script at
+# its default run count and compares the result with the committed file
+# byte for byte.
 #
 # Usage: scripts/campaign_sweep.sh [output-file]   (default: CAMPAIGN.md)
 #
@@ -19,9 +19,8 @@ pulses=10
 
 cargo build -q --release --bin hexctl
 
-campaign() { # campaign <regime> <HEX_QUEUE> <HEX_BATCH> — JSON on stdout
-  HEX_RUNS="$runs" HEX_QUEUE="$2" HEX_BATCH="$3" \
-    target/release/hexctl campaign --regime "$1" --pulses "$pulses"
+campaign() { # campaign <regime> — JSON on stdout
+  HEX_RUNS="$runs" target/release/hexctl campaign --regime "$1" --pulses "$pulses"
 }
 
 {
@@ -34,22 +33,13 @@ campaign() { # campaign <regime> <HEX_QUEUE> <HEX_BATCH> — JSON on stdout
   echo "first pulse launched at/after the disturbance to the first pulse"
   echo "of the persistent criterion-satisfying suffix of its segment."
   echo
-  echo "Every table below was verified byte-identical across"
-  echo "HEX_QUEUE=binary_heap|quad_heap|calendar and HEX_BATCH=on|off"
-  echo "at generation time."
+  echo "CI regenerates this file and requires it byte-identical to the"
+  echo "committed one."
 } > "$out"
 
 for regime in burst crash churn; do
   err_file="$(mktemp)"
-  ref="$(campaign "$regime" calendar on 2>"$err_file")"
-  for leg in "binary_heap on" "quad_heap on" "calendar off"; do
-    # shellcheck disable=SC2086
-    got="$(campaign "$regime" $leg 2>/dev/null)"
-    if [ "$got" != "$ref" ]; then
-      echo "campaign $regime diverged under HEX_QUEUE/HEX_BATCH = $leg" >&2
-      exit 1
-    fi
-  done
+  ref="$(campaign "$regime" 2>"$err_file")"
   {
     echo
     echo "## $regime"
@@ -63,7 +53,7 @@ for regime in burst crash churn; do
     echo '```'
   } >> "$out"
   rm -f "$err_file"
-  echo "campaign $regime: byte-identical across 3 queue policies x 2 dispatch modes" >&2
+  echo "campaign $regime: recorded" >&2
 done
 
 echo "wrote $out" >&2

@@ -103,55 +103,14 @@ fn same_seed_traces_serialize_byte_identical() {
     assert_ne!(doc_a.as_bytes(), doc_c.as_bytes());
 }
 
-/// Batched-kernel wall: the bucket-batched SoA dispatch (`SimConfig::
-/// batch`) serializes byte-identically to the scalar reference through the
-/// VCD exporter, for every queue policy, in a regime that exercises faults,
-/// corrupted init and recorded arrivals at once.
-#[test]
-fn batched_and_scalar_serialize_byte_identical() {
-    use hexclock::sim::{vcd_document, VcdOptions};
-
-    let grid = HexGrid::new(12, 8);
-    let mut rng = SimRng::seed_from_u64(21);
-    let sched = PulseTrain::new(Scenario::Zero, 3, Duration::from_ns(300.0)).generate(8, &mut rng);
-    let base = SimConfig {
-        faults: FaultPlan::none().with_node(grid.node(4, 2), NodeFault::Byzantine),
-        timing: Timing::paper_scenario_iii(),
-        init: InitState::Arbitrary,
-        record_arrivals: true,
-        ..SimConfig::fault_free()
-    };
-    for policy in QueuePolicy::ALL {
-        let scalar_cfg = SimConfig {
-            queue: policy,
-            batch: false,
-            ..base.clone()
-        };
-        let batched_cfg = SimConfig {
-            batch: true,
-            ..scalar_cfg.clone()
-        };
-        let scalar = simulate(grid.graph(), &sched, &scalar_cfg, 404);
-        let batched = simulate(grid.graph(), &sched, &batched_cfg, 404);
-        let doc_scalar = vcd_document(&grid, &scalar, &VcdOptions::default());
-        let doc_batched = vcd_document(&grid, &batched, &VcdOptions::default());
-        assert!(!doc_scalar.is_empty());
-        assert_eq!(
-            doc_scalar.as_bytes(),
-            doc_batched.as_bytes(),
-            "{policy:?}: batched dispatch diverged from the scalar reference"
-        );
-    }
-}
-
 /// Dynamic-regime wall: a run under a live [`FaultScript`] — Byzantine
 /// burst, crash-rejoin and a link flap overlapping a multi-pulse train —
-/// serializes byte-identically across every queue policy and both
-/// dispatch strategies, through a dirty reused scratch. Scripted fault
-/// windows are simulation *content*; the event list and the batched
-/// kernels must stay pure performance knobs around them.
+/// serializes byte-identically through a dirty reused scratch as through
+/// fresh allocations. Scripted fault windows are simulation *content*;
+/// the recycled event list, masks and behaviour tables must carry
+/// nothing over from the runs before.
 #[test]
-fn scripted_runs_serialize_byte_identical_across_policies_and_dispatch() {
+fn scripted_runs_serialize_byte_identical_through_a_dirty_scratch() {
     use hexclock::sim::{vcd_document, VcdOptions};
 
     let grid = HexGrid::new(10, 8);
@@ -206,25 +165,17 @@ fn scripted_runs_serialize_byte_identical_across_policies_and_dispatch() {
         999,
     );
 
-    for policy in QueuePolicy::ALL {
-        for batch in [false, true] {
-            let cfg = SimConfig {
-                queue: policy,
-                batch,
-                ..base.clone()
-            };
-            let reused = simulate_into(&mut scratch, grid.graph(), &sched, &cfg, 606);
-            assert_eq!(
-                &fresh, reused,
-                "{policy:?}/batch={batch}: scripted trace diverged"
-            );
-            let doc_reused = vcd_document(&grid, reused, &VcdOptions::default());
-            assert_eq!(
-                doc_fresh.as_bytes(),
-                doc_reused.as_bytes(),
-                "{policy:?}/batch={batch}: scripted serialization diverged"
-            );
-        }
+    // Twice: the second pass reuses a scratch the scripted run itself
+    // left dirty.
+    for pass in 0..2 {
+        let reused = simulate_into(&mut scratch, grid.graph(), &sched, &base, 606);
+        assert_eq!(&fresh, reused, "pass {pass}: scripted trace diverged");
+        let doc_reused = vcd_document(&grid, reused, &VcdOptions::default());
+        assert_eq!(
+            doc_fresh.as_bytes(),
+            doc_reused.as_bytes(),
+            "pass {pass}: scripted serialization diverged"
+        );
     }
 }
 
@@ -574,36 +525,23 @@ fn dirty_scratch_runs_serialize_byte_identical_to_fresh() {
 
     for (name, cfg, schedule) in &regimes {
         for seed in [7u64, 8] {
-            // The reference execution: fresh allocations, default queue.
+            // The reference execution: fresh allocations.
             let fresh = simulate(grid.graph(), schedule, cfg, seed);
             let doc_fresh = vcd_document(&grid, &fresh, &VcdOptions::default());
             assert!(!doc_fresh.is_empty());
-            // Every queue policy and both dispatch strategies, run through
-            // the same carried-over dirty scratch, must serialize
-            // byte-identically to that reference: the event list and the
-            // batched kernels are pure performance knobs.
-            for policy in QueuePolicy::ALL {
-                for batch in [false, true] {
-                    let cfg = SimConfig {
-                        queue: policy,
-                        batch,
-                        ..cfg.clone()
-                    };
-                    let reused = simulate_into(&mut scratch, grid.graph(), schedule, &cfg, seed);
-                    assert_eq!(
-                        &fresh, reused,
-                        "{name}/seed {seed}/{policy:?}/batch={batch}: \
-                         trace structs diverged under scratch reuse"
-                    );
-                    let doc_reused = vcd_document(&grid, reused, &VcdOptions::default());
-                    assert_eq!(
-                        doc_fresh.as_bytes(),
-                        doc_reused.as_bytes(),
-                        "{name}/seed {seed}/{policy:?}/batch={batch}: \
-                         serialized traces diverged under scratch reuse"
-                    );
-                }
-            }
+            // The same run through the carried-over dirty scratch must
+            // serialize byte-identically to that reference.
+            let reused = simulate_into(&mut scratch, grid.graph(), schedule, cfg, seed);
+            assert_eq!(
+                &fresh, reused,
+                "{name}/seed {seed}: trace structs diverged under scratch reuse"
+            );
+            let doc_reused = vcd_document(&grid, reused, &VcdOptions::default());
+            assert_eq!(
+                doc_fresh.as_bytes(),
+                doc_reused.as_bytes(),
+                "{name}/seed {seed}: serialized traces diverged under scratch reuse"
+            );
         }
     }
 }

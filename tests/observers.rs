@@ -3,8 +3,8 @@
 //! **byte-identical** to the materialized `PulseView` reference path —
 //! identical cumulated sample vectors (order included), identical per-run
 //! summaries, identical stabilization estimates — for randomized
-//! experiment descriptions across every fault regime, every `QueuePolicy`
-//! and 1..8 worker threads.
+//! experiment descriptions across every fault regime and 1..8 worker
+//! threads.
 //!
 //! This is the executable version of re-checking a derived claim against
 //! its definition (cf. Altisen & Bozga's mechanized re-verification of
@@ -37,7 +37,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Randomized `RunSpec`s — grid shape, scenario, mixed fault regimes,
-    /// init, pulse count, seed, all three queue policies, 1..8 threads —
+    /// init, pulse count, seed, 1..8 threads —
     /// produce observer-backed skew AND stabilization statistics
     /// byte-equal to the materialized `PulseView` path.
     #[test]
@@ -50,7 +50,6 @@ proptest! {
         arbitrary_init in 0usize..2,
         h in 0usize..2,
         threads in 1usize..9,
-        queue_ix in 0usize..3,
         seed in 0u64..1_000_000,
     ) {
         let scenario = [Scenario::Zero, Scenario::RandomDPlus, Scenario::Ramp][scenario_ix];
@@ -66,8 +65,7 @@ proptest! {
             .scenario(scenario)
             .faults(regime(regime_ix))
             .init(init)
-            .pulses(pulses)
-            .queue(QueuePolicy::ALL[queue_ix]);
+            .pulses(pulses);
         let grid = spec.hex_grid();
 
         // Skew reduction of the last pulse (pulse 0 for single-pulse

@@ -33,7 +33,6 @@ fn spec_from(
     pulses: usize,
     timing_ix: usize,
     delay_ix: usize,
-    queue_ix: usize,
 ) -> RunSpec {
     let faults = match fault_ix % 7 {
         0 => FaultRegime::None,
@@ -115,7 +114,6 @@ fn spec_from(
         .pulses(pulses)
         .timing(timing)
         .delays(delays)
-        .queue(QueuePolicy::ALL[queue_ix % 3])
 }
 
 proptest! {
@@ -127,11 +125,11 @@ proptest! {
     fn canonical_encoding_round_trips(
         (length, width, runs, seed) in (2u32..40, 3u32..16, 1usize..8, any::<u64>()),
         (scenario_ix, fault_ix, init_ix) in (0usize..4, 0usize..12, 0usize..4),
-        (pulses, timing_ix, delay_ix, queue_ix) in (1usize..4, 0usize..3, 0usize..10, 0usize..3),
+        (pulses, timing_ix, delay_ix) in (1usize..4, 0usize..3, 0usize..10),
     ) {
         let spec = spec_from(
             length, width, runs, seed, scenario_ix, fault_ix, init_ix, pulses,
-            timing_ix, delay_ix, queue_ix,
+            timing_ix, delay_ix,
         );
         let bytes = encode_spec(&spec);
         let back = decode_spec(&bytes).expect("canonical bytes decode");
@@ -150,13 +148,7 @@ proptest! {
 /// caches) rather than silently re-keying them.
 #[test]
 fn spec_hash_is_stable_across_processes() {
-    // Queue pinned explicitly: the default honors HEX_QUEUE, and this
-    // hash must not depend on the environment.
-    let spec = RunSpec::grid(8, 6)
-        .runs(4)
-        .seed(7)
-        .scenario(Scenario::Zero)
-        .queue(QueuePolicy::Calendar);
+    let spec = RunSpec::grid(8, 6).runs(4).seed(7).scenario(Scenario::Zero);
     assert_eq!(
         spec_hash(&spec),
         0x01a7_35c5_e688_0e18,
@@ -201,7 +193,6 @@ fn small_spec() -> RunSpec {
         .runs(4)
         .seed(11)
         .scenario(Scenario::RandomDPlus)
-        .queue(QueuePolicy::Calendar)
 }
 
 /// Cold compute, daemon restart on the same cache dir, warm replay:
@@ -245,10 +236,7 @@ fn concurrent_identical_queries_dedupe_to_one_computation() {
     // Large enough that the computation outlives client connect latency
     // on any machine — coalescing is then the common path; the counter
     // assertion holds even if some clients land after completion.
-    let spec = RunSpec::grid(16, 8)
-        .runs(24)
-        .seed(3)
-        .queue(QueuePolicy::Calendar);
+    let spec = RunSpec::grid(16, 8).runs(24).seed(3);
     let handle = serve(cfg.clone()).expect("start hexd");
     let addr = handle.addr();
 
@@ -293,8 +281,7 @@ fn stabilize_queries_cache_within_one_daemon() {
         .runs(3)
         .seed(5)
         .pulses(3)
-        .init(InitState::Arbitrary)
-        .queue(QueuePolicy::Calendar);
+        .init(InitState::Arbitrary);
     let handle = serve(cfg.clone()).expect("start hexd");
     let mut client = Client::connect(&handle.addr()).expect("connect");
     let cold = client.query(QueryKind::Stabilize, 0, &spec).expect("cold");
@@ -350,6 +337,20 @@ fn bad_queries_get_errors_and_the_daemon_survives() {
     let hostile_schedule = text.replace("schedule none", "schedule 1000000000000");
     let reply = client.query_raw(QueryKind::Skew, 0, hostile_schedule.into_bytes());
     assert!(reply.unwrap_err().to_string().contains("bad_request"));
+
+    // One spec, one accepted spelling: a padded number would otherwise
+    // get a cache entry of its own, and a queue other than the one the
+    // engine has is not a spec at all.
+    for (canonical, other) in [
+        ("runs 4", "runs 04"),
+        ("queue calendar", "queue binary_heap"),
+    ] {
+        let respelled = text.replace(canonical, other);
+        assert_ne!(respelled, text);
+        let reply = client.query_raw(QueryKind::Skew, 0, respelled.into_bytes());
+        let msg = reply.unwrap_err().to_string();
+        assert!(msg.contains("bad_request"), "{other:?}: {msg}");
+    }
     let huge_train = client.query(
         QueryKind::Stabilize,
         0,
@@ -596,10 +597,7 @@ fn busy_answers_are_retried_until_the_queue_drains() {
     // Slow enough (hundreds of ms even in release builds) to hold the
     // single worker while the rest of the test runs; distinct seeds keep
     // the queries from coalescing.
-    let slow = RunSpec::grid(96, 48)
-        .runs(128)
-        .seed(900)
-        .queue(QueuePolicy::Calendar);
+    let slow = RunSpec::grid(96, 48).runs(128).seed(900);
     let queued = small_spec().seed(901);
     let crowded = small_spec().seed(902);
 

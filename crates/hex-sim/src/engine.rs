@@ -16,7 +16,7 @@
 //! window of the current instant (`[d-, d+]` deliveries, `[T-, T+]` link
 //! and sleep timeouts). The bounded-horizon [`CalendarQueue`] exploits
 //! exactly that bound, and the engine drains it in bucket batches
-//! through one driver ([`run_windows`]). Pops follow `(time, seq)` order
+//! through one driver (`run_windows`). Pops follow `(time, seq)` order
 //! with FIFO ties, so a run is a pure function of its configuration and
 //! seed; the workspace determinism tests pin its output to committed
 //! golden values.
@@ -67,15 +67,11 @@ pub enum InitState {
     AllAsleep,
 }
 
-/// The engine's future event list: the bounded-horizon calendar ring.
-///
-/// It won every engine row of the three-way queue ablation it replaced
-/// (`single_pulse/grid_scratch/100x40`: 2.23 ms, against 4.12 ms for a
-/// binary heap and 5.33 ms for a 4-ary heap), because every HEX
-/// scheduling increment is bounded. Kept only because the benchmark
-/// harness prints its label in its config line
-/// (`perfbench/src/main.rs:180`), and the harness changes only with a
-/// revision of the benchmark itself; delete both together then.
+/// The engine's future event list: the bounded-horizon calendar ring,
+/// the only one it has. Kept only because the benchmark harness prints
+/// its label in its config line (`perfbench/src/main.rs:180`), and the
+/// harness changes only with a revision of the benchmark itself; delete
+/// both together then.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueuePolicy {
     /// Bounded-horizon calendar ring ([`CalendarQueue`]), sized per run
@@ -131,7 +127,7 @@ pub struct SimConfig {
 pub const SCRIPT_SALT: u64 = 0x5EED_5C21;
 
 /// Always true: every run drains its event list in bucket batches (see
-/// [`run_windows`]). Kept only because the benchmark harness prints it
+/// [`SimConfig::min_increment`]). Kept only because the benchmark harness prints it
 /// in its config line (`perfbench/src/main.rs:181`), and the harness
 /// changes only with a revision of the benchmark itself; delete both
 /// together then.
@@ -195,14 +191,15 @@ impl SimConfig {
     }
 
     /// The smallest increment the event loop ever schedules ahead of `now`:
-    /// the fastest delivery, memory timeout or sleep. This is the batch
-    /// span of [`run_windows`] — while a batch covering
+    /// the fastest delivery, memory timeout or sleep. This is the engine's
+    /// batch span — while a batch covering
     /// `[first, first + min_increment]` is processed, every event it
     /// schedules lands at or beyond the batch's end (same-instant pushes
     /// get later sequence numbers), so draining the whole batch up front
-    /// replays the one-at-a-time pop order exactly. Only in-loop scheduling is
-    /// constrained: pre-loop pushes (corrupted-init residuals may be
-    /// arbitrarily short) all happen before the first batch is drained.
+    /// replays the one-at-a-time pop order exactly. Only in-loop
+    /// scheduling is constrained: pre-loop pushes (corrupted-init
+    /// residuals may be arbitrarily short) all happen before the first
+    /// batch is drained.
     pub fn min_increment(&self) -> Duration {
         self.delays
             .envelope()
@@ -1647,37 +1644,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// A dirty scratch carried across configurations whose calendar
-    /// geometries differ (paper vs. fixed delays: the bucket width tracks
-    /// the delivery jitter) still reproduces the fresh run each time: a
-    /// rebuilt ring and a recycled one behave like a new one.
-    #[test]
-    fn scratch_reuse_across_ring_geometries() {
-        let grid = HexGrid::new(7, 5);
-        let sched = zero_schedule(5);
-        let jittered = SimConfig::fault_free();
-        let fixed = SimConfig {
-            delays: DelayModel::Fixed(D_PLUS),
-            ..SimConfig::fault_free()
-        };
-        assert_ne!(
-            calendar_geometry(&jittered, grid.graph().node_count()),
-            calendar_geometry(&fixed, grid.graph().node_count())
-        );
-        let mut scratch = SimScratch::new();
-        for (i, cfg) in [&jittered, &fixed, &fixed, &jittered, &fixed]
-            .into_iter()
-            .enumerate()
-        {
-            let seed = 100 + i as u64;
-            let fresh = simulate(grid.graph(), &sched, cfg, seed);
-            let reused = simulate_into(&mut scratch, grid.graph(), &sched, cfg, seed);
-            assert_eq!(&fresh, reused, "step {i}");
-        }
-        // Geometry churn never re-grows the trace-sized buffers.
-        assert_eq!(scratch.grow_count(), 1);
     }
 
     /// The stale counter sees exactly the epoch-rejected churn: a strict

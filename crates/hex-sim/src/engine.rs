@@ -877,8 +877,8 @@ fn run_windows<O: RunObserver, const REFERENCE: bool>(
             );
             seeded = true;
         }
-        let window_end = transitions.get(next).filter(|tr| tr.at <= ctx.horizon);
-        let cap = match window_end {
+        let boundary = transitions.get(next).filter(|tr| tr.at <= ctx.horizon);
+        let cap = match boundary {
             Some(tr) => Time::from_ps(tr.at.ps() - 1),
             None => ctx.horizon,
         };
@@ -888,10 +888,8 @@ fn run_windows<O: RunObserver, const REFERENCE: bool>(
         } else {
             drain::<O, false>(q, &ctx, span, cap, nodes, obs, arrivals, rng, batch_buf)
         };
-        if window_end.is_none() {
-            if !q.is_empty() {
-                q.pop(); // the first event past the horizon
-            }
+        if boundary.is_none() {
+            q.pop(); // the first event past the horizon, if any
             break;
         }
         let index = loop {

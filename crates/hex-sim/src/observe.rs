@@ -11,8 +11,8 @@
 //! an observer instead:
 //!
 //! * [`RunObserver`] — the sealed per-fire hook the event loop is
-//!   monomorphized over (one instantiation per queue policy × observer, no
-//!   per-event dispatch);
+//!   monomorphized over (one instantiation per observer, no per-event
+//!   dispatch);
 //! * [`PulseBinner`] — the production observer: bins each firing to its
 //!   pulse **online**, exactly replicating the post-hoc assignment of
 //!   [`assign_pulses`](crate::assign_pulses) (nearest expected time,
@@ -20,8 +20,8 @@
 //!   trace or a matrix.
 //!
 //! The trait is **sealed** because the byte-equality walls (observer-backed
-//! statistics identical to the materialized `PulseView` path, across all
-//! queue policies and thread counts) only cover the observers defined here.
+//! statistics identical to the materialized `PulseView` path, across
+//! thread counts) only cover the observers defined here.
 //!
 //! ```
 //! use hex_clock::Scenario;

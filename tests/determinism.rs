@@ -446,6 +446,84 @@ fn analysis_outputs_match_golden_pins() {
     );
 }
 
+/// Golden pins of the multi-pulse analysis outputs: 5-pulse batches from
+/// arbitrary initial states (scenario (iii), 16 runs) with one Byzantine
+/// or one fail-silent node per run. Each row pins `fnv1a_64` of the
+/// `skew_summary_table(..).to_json()` of the last pulse and of the
+/// `stabilization_summary_table(..).to_json()` of each threshold class
+/// `C = 0..3`, with the criteria built as the Figs. 18/19 sweep builds
+/// them (`C = 0` from the Lemma-5 layer bound). A deliberate change of
+/// analysis output is re-pinned by hand from the observed rows the
+/// failure message prints.
+#[test]
+fn multi_pulse_analysis_outputs_match_golden_pins() {
+    use hexclock::analysis::reduce::skew_summary_table;
+    use hexclock::analysis::stabilization::{stabilization_summary_table, summarize, Criterion};
+    use hexclock::sim::canon::fnv1a_64;
+    use hexclock::theory::bounds::lemma5_layer_bound;
+
+    const PULSES: usize = 5;
+    #[rustfmt::skip]
+    const PINS: &[(&str, u32, u32, u64, [u64; 4])] = &[
+        // (regime, length, width, last-pulse skew table hash,
+        //  stabilization table hashes of C = 0, 1, 2, 3)
+        ("byzantine",   20, 20, 0xb03595db53b8ee38,
+         [0x50bee12178405e0b, 0x50bee12178405e0b, 0x50bee12178405e0b, 0x904d5cd284af3dac]),
+        ("byzantine",   50, 20, 0x7efcfc05ba270046,
+         [0x50bee12178405e0b, 0x50bee12178405e0b, 0x50bee12178405e0b, 0xee4801693d2f46ac]),
+        ("fail-silent", 20, 20, 0xec63bfa11569799d,
+         [0x50bee12178405e0b, 0x50bee12178405e0b, 0x50bee12178405e0b, 0xda064b46b96daacb]),
+        ("fail-silent", 50, 20, 0xaacecbde8823787a,
+         [0x50bee12178405e0b, 0x50bee12178405e0b, 0x50bee12178405e0b, 0xd83e77e80356fe0d]),
+    ];
+
+    let mut drifted = Vec::new();
+    for &(name, length, width, skew, stab) in PINS {
+        let faults = match name {
+            "byzantine" => FaultRegime::Byzantine(1),
+            "fail-silent" => FaultRegime::FailSilent(1),
+            other => panic!("unknown golden regime {other:?}"),
+        };
+        let spec = RunSpec::grid(length, width)
+            .runs(16)
+            .seed(0x601D)
+            .scenario(Scenario::RandomDPlus)
+            .faults(faults)
+            .init(InitState::Arbitrary)
+            .pulses(PULSES);
+        let grid = spec.hex_grid();
+        let f = spec.faults.f();
+        // Scenario (iii) spreads the sources by up to d+.
+        let criteria: Vec<Criterion> = (0..=3u8)
+            .map(|c| {
+                Criterion::class(c, D_PLUS, length, |layer| {
+                    lemma5_layer_bound(D_PLUS, layer, f.min(layer as usize), DelayRange::paper())
+                })
+            })
+            .collect();
+        let skews = spec.fold_observed(&ObservedSkewReducer::new(&grid, 0).at_pulse(PULSES - 1));
+        let estimates = spec.fold_observed(&ObservedStabilizationReducer::new(&grid, &criteria, 0));
+        let observed_skew = fnv1a_64(skew_summary_table(&skews).to_json().as_bytes());
+        let mut observed_stab = [0u64; 4];
+        for (hash, per_run) in observed_stab.iter_mut().zip(&estimates) {
+            let table = stabilization_summary_table(&summarize(per_run));
+            *hash = fnv1a_64(table.to_json().as_bytes());
+        }
+        if (observed_skew, observed_stab) != (skew, stab) {
+            let stab: Vec<String> = observed_stab.iter().map(|h| format!("{h:#018x}")).collect();
+            drifted.push(format!(
+                "(\"{name}\", {length}, {width}, {observed_skew:#018x}, [{}]),",
+                stab.join(", ")
+            ));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "multi-pulse analysis output drifted from the golden pins; observed rows:\n{}",
+        drifted.join("\n")
+    );
+}
+
 /// Scratch-reuse wall: `simulate_into` on a **dirty, reused** `SimScratch`
 /// must be byte-identical (VCD serialization) to fresh `simulate`, across
 /// the fault-free, Byzantine, and Mixed regimes and across init states.

@@ -27,15 +27,15 @@
 //! * [`wave`] — rendering of pulse waves (Figs. 8/9/13/14) as ASCII relief
 //!   and per-layer wave fronts;
 //! * [`reduce`] — streaming batch reductions: [`hex_sim::batch::Reducer`]
-//!   implementations that turn a [`hex_sim::RunSpec`] batch into
-//!   [`reduce::BatchSkews`] or stabilization estimates on the worker
-//!   threads, without materializing the batch. The observer-backed pair
-//!   ([`reduce::ObservedSkewReducer`] /
-//!   [`reduce::ObservedStabilizationReducer`], via
-//!   [`hex_sim::RunSpec::fold_observed`]) goes further: skews are
-//!   accumulated online as fires happen, with no per-run trace or
-//!   [`hex_sim::PulseView`] matrices at all — byte-identical to the
-//!   materialized path, which stays as the reference;
+//!   implementations ([`reduce::ObservedSkewReducer`],
+//!   [`reduce::ObservedStabilizationReducer`],
+//!   [`reduce::ObservedRestabilizationReducer`]) that turn a
+//!   [`hex_sim::RunSpec`] batch into [`reduce::BatchSkews`] or
+//!   stabilization estimates on the worker threads via
+//!   [`hex_sim::RunSpec::fold_observed`]: statistics accumulate online as
+//!   fires happen, with no per-run trace or [`hex_sim::PulseView`]
+//!   matrices at all. The per-view functions of [`skew`] and
+//!   [`stabilization`] stay as their reference;
 //! * [`emit`] — shared machine-readable output (CSV/JSON tables gated by
 //!   `HEX_EMIT`) for all experiment drivers.
 
@@ -59,11 +59,10 @@ pub mod wave;
 
 pub use emit::{Emitter, Table, Value};
 pub use reduce::{
-    batch_skews, batch_skews_from_views, campaign_restabilization, BatchSkews,
-    ObservedRestabilizationReducer, ObservedSkewReducer, ObservedStabilizationReducer, SkewReducer,
-    StabilizationReducer,
+    batch_skews, campaign_restabilization, BatchSkews, ObservedRestabilizationReducer,
+    ObservedSkewReducer, ObservedStabilizationReducer,
 };
-pub use skew::{collect_skews, collect_skews_observed, exclusion_mask, SkewSamples};
+pub use skew::{collect_skews, exclusion_mask, SkewSamples};
 pub use stabilization::{
     campaign_summary_table, restabilization_observed, summarize_campaign, CampaignStats,
     DisturbanceStats, Restabilization,

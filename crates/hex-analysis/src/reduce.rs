@@ -1,11 +1,15 @@
 //! Streaming reductions over [`RunSpec`] batches.
 //!
-//! The paper's statistics are per-run map+reduce: trace → [`PulseView`] →
-//! skew samples / summaries / stabilization estimates, aggregated over 250
-//! runs. The reducers here implement [`hex_sim::batch::Reducer`], so
-//! [`RunSpec::fold`] executes the whole reduction **inside the batch
-//! worker threads**: no `Vec<RunView>` of the batch ever exists, and the
-//! skew extraction that used to be a serial post-pass runs in parallel.
+//! The paper's statistics are per-run map+reduce: per-pulse triggering
+//! times → skew samples / summaries / stabilization estimates, aggregated
+//! over 250 runs. The reducers here implement [`hex_sim::batch::Reducer`]
+//! over each run's [`PulseBinner`], so [`RunSpec::fold_observed`] executes
+//! the whole reduction **inside the batch worker threads**, straight from
+//! the engine's online pulse binning: no trace, no
+//! [`PulseView`](hex_sim::PulseView) matrix and no `Vec<RunView>` of the
+//! batch ever exists. The per-view functions of [`crate::skew`] and
+//! [`crate::stabilization`] over [`RunSpec::run_batch`] are the reference
+//! the workspace observer wall checks these reducers against, run by run.
 //!
 //! ```
 //! use hex_analysis::reduce::batch_skews;
@@ -22,13 +26,13 @@
 use hex_core::HexGrid;
 use hex_des::{Duration, Time};
 use hex_sim::batch::Reducer;
-use hex_sim::spec::{RunSpec, RunView};
+use hex_sim::spec::RunSpec;
 use hex_sim::PulseBinner;
 
-use crate::skew::{collect_skews_with, exclusion_mask, masked_binner, masked_view, SkewSamples};
+use crate::skew::{collect_skews_with, exclusion_mask, masked_binner, SkewSamples};
 use crate::stabilization::{
     observed_pulse_profiles, restabilization_observed, stabilization_from_profiles,
-    stabilization_pulse, summarize_campaign, CampaignStats, Criterion, Restabilization,
+    summarize_campaign, CampaignStats, Criterion, Restabilization,
 };
 use crate::stats::Summary;
 
@@ -66,39 +70,27 @@ impl BatchSkews {
         per_run(&self.cumulated.inter, self.run_counts.iter().map(|c| c.1))
     }
 
-    /// Append one run's samples (shared tail of both extraction paths):
-    /// the walk writes straight into [`BatchSkews::cumulated`].
-    fn add_with(&mut self, grid: &HexGrid, get: impl Fn(u32, i64) -> Option<Time>) {
-        let (intra, inter) = (self.cumulated.intra.len(), self.cumulated.inter.len());
-        collect_skews_with(grid.length(), grid.width(), get, &mut self.cumulated);
-        self.run_counts.push((
-            self.cumulated.intra.len() - intra,
-            self.cumulated.inter.len() - inter,
-        ));
-    }
-
-    /// Fold the skews of pulse `pulse` of one run into the aggregate
-    /// (`h`-hop fault exclusion).
-    fn add(&mut self, grid: &HexGrid, rv: &RunView, h: usize, pulse: usize) {
-        assert!(
-            pulse < rv.views.len(),
-            "skew reduction of pulse {pulse}, but the run recorded only {} pulse view(s)",
-            rv.views.len()
-        );
-        let mask = exclusion_mask(grid, &rv.faulty, h);
-        self.add_with(grid, masked_view(grid, &rv.views[pulse], &mask));
-    }
-
-    /// The streaming twin of [`BatchSkews::add`]: fold pulse `pulse` of
-    /// one observed run, straight from the worker's [`PulseBinner`].
-    fn add_observed(&mut self, grid: &HexGrid, binner: &PulseBinner, h: usize, pulse: usize) {
+    /// Fold the skews of pulse `pulse` of one observed run into the
+    /// aggregate (`h`-hop fault exclusion), straight from the worker's
+    /// [`PulseBinner`]: the walk writes into [`BatchSkews::cumulated`].
+    fn add(&mut self, grid: &HexGrid, binner: &PulseBinner, h: usize, pulse: usize) {
         assert!(
             pulse < binner.pulses(),
             "skew reduction of pulse {pulse}, but the run recorded only {} pulse(s)",
             binner.pulses()
         );
         let mask = exclusion_mask(grid, binner.faulty(), h);
-        self.add_with(grid, masked_binner(grid, binner, pulse, &mask));
+        let (intra, inter) = (self.cumulated.intra.len(), self.cumulated.inter.len());
+        collect_skews_with(
+            grid.length(),
+            grid.width(),
+            masked_binner(grid, binner, pulse, &mask),
+            &mut self.cumulated,
+        );
+        self.run_counts.push((
+            self.cumulated.intra.len() - intra,
+            self.cumulated.inter.len() - inter,
+        ));
     }
 
     /// Concatenate two aggregates covering consecutive run ranges.
@@ -123,72 +115,29 @@ fn per_run(samples: &[Duration], counts: impl Iterator<Item = usize>) -> Vec<Sum
 }
 
 /// A [`Reducer`] extracting [`BatchSkews`] from runs with `h`-hop fault
-/// exclusion. By default the reduction covers pulse 0 — the whole run for
+/// exclusion, for [`RunSpec::fold_observed`]: folds each run's
+/// [`PulseBinner`], whose skew samples accumulated online as fires
+/// happened. By default the reduction covers pulse 0 — the whole run for
 /// the single-pulse batches of Sections 4.2/4.3; for multi-pulse
 /// (stabilization) batches pick the pulse explicitly with
-/// [`SkewReducer::at_pulse`] (folding panics if a run recorded fewer
-/// pulses).
-#[derive(Debug)]
-pub struct SkewReducer<'g> {
-    grid: &'g HexGrid,
-    h: usize,
-    pulse: usize,
-}
-
-impl<'g> SkewReducer<'g> {
-    /// Reduce on `grid` with `h`-hop exclusion around each run's faults.
-    pub fn new(grid: &'g HexGrid, h: usize) -> Self {
-        SkewReducer { grid, h, pulse: 0 }
-    }
-
-    /// Reduce the skews of pulse `pulse` instead of pulse 0.
-    pub fn at_pulse(mut self, pulse: usize) -> Self {
-        self.pulse = pulse;
-        self
-    }
-}
-
-impl Reducer<RunView> for SkewReducer<'_> {
-    type Acc = BatchSkews;
-
-    fn empty(&self) -> BatchSkews {
-        BatchSkews::default()
-    }
-
-    fn fold(&self, acc: &mut BatchSkews, run: usize, rv: RunView) {
-        self.fold_ref(acc, run, &rv);
-    }
-
-    // The reduction only reads the views, so the scratch-backed fold path
-    // hands them over by reference — no per-run RunView clone.
-    fn fold_ref(&self, acc: &mut BatchSkews, _run: usize, rv: &RunView) {
-        acc.add(self.grid, rv, self.h, self.pulse);
-    }
-
-    fn merge(&self, mut left: BatchSkews, right: BatchSkews) -> BatchSkews {
-        left.append(right);
-        left
-    }
-}
-
-/// The observer-backed twin of [`SkewReducer`], for
-/// [`RunSpec::fold_observed`]: folds each run's [`PulseBinner`] — skew
-/// samples accumulated online as fires happen, with no trace and no
-/// [`PulseView`](hex_sim::PulseView) matrices ever materialized. The
-/// resulting [`BatchSkews`] is **byte-identical** to the materialized
-/// path's (identical sample vectors, identical per-run summaries), pinned
-/// by the workspace observer walls.
+/// [`ObservedSkewReducer::at_pulse`] (folding panics if a run recorded
+/// fewer pulses). The sample vectors equal the Definition-3 walk over each
+/// run's materialized view, in run order:
 ///
 /// ```
-/// use hex_analysis::reduce::{ObservedSkewReducer, SkewReducer};
+/// use hex_analysis::reduce::ObservedSkewReducer;
+/// use hex_analysis::skew::{collect_skews, exclusion_mask};
 /// use hex_sim::RunSpec;
 ///
 /// let spec = RunSpec::grid(6, 5).runs(3).seed(9);
 /// let grid = spec.hex_grid();
 /// let streamed = spec.fold_observed(&ObservedSkewReducer::new(&grid, 0));
-/// let materialized = spec.fold(&SkewReducer::new(&grid, 0));
-/// assert_eq!(streamed.cumulated.intra, materialized.cumulated.intra);
-/// assert_eq!(streamed.cumulated.inter, materialized.cumulated.inter);
+/// let mut intra = Vec::new();
+/// for rv in spec.run_batch() {
+///     let mask = exclusion_mask(&grid, &rv.faulty, 0);
+///     intra.extend(collect_skews(&grid, rv.view(), &mask).intra);
+/// }
+/// assert_eq!(streamed.cumulated.intra, intra);
 /// ```
 #[derive(Debug)]
 pub struct ObservedSkewReducer<'g> {
@@ -217,13 +166,9 @@ impl Reducer<PulseBinner> for ObservedSkewReducer<'_> {
         BatchSkews::default()
     }
 
-    fn fold(&self, acc: &mut BatchSkews, run: usize, binner: PulseBinner) {
-        self.fold_ref(acc, run, &binner);
-    }
-
     // Read-only reduction: fold straight from the worker's scratch binner.
     fn fold_ref(&self, acc: &mut BatchSkews, _run: usize, binner: &PulseBinner) {
-        acc.add_observed(self.grid, binner, self.h, self.pulse);
+        acc.add(self.grid, binner, self.h, self.pulse);
     }
 
     fn merge(&self, mut left: BatchSkews, right: BatchSkews) -> BatchSkews {
@@ -236,13 +181,12 @@ impl Reducer<PulseBinner> for ObservedSkewReducer<'_> {
 /// with `h`-hop fault exclusion, streaming per-run reduction on the worker
 /// threads.
 ///
-/// Since the observer redesign this rides the streaming extraction path
-/// ([`RunSpec::fold_observed`] + [`ObservedSkewReducer`]): skew samples
-/// are accumulated online as fires happen, with no trace and no
-/// [`PulseView`](hex_sim::PulseView) matrices per run. The result is
-/// byte-identical to the materialized reference path
-/// (`spec.fold(&SkewReducer::new(&grid, h))`), which the workspace
-/// observer walls pin.
+/// This rides the streaming extraction path ([`RunSpec::fold_observed`] +
+/// [`ObservedSkewReducer`]): skew samples are accumulated online as fires
+/// happen, with no trace and no [`PulseView`](hex_sim::PulseView) matrices
+/// per run. The result equals [`collect_skews`](crate::skew::collect_skews)
+/// over each run of [`RunSpec::run_batch`], which the workspace observer
+/// wall pins.
 ///
 /// # Panics
 ///
@@ -313,69 +257,16 @@ pub fn skew_summary_table(skews: &BatchSkews) -> crate::emit::Table {
     t
 }
 
-/// Sequential fallback: extract [`BatchSkews`] from already-materialized
-/// views (drivers that need the views for other statistics too). Reduces
-/// pulse 0 of each run, like [`batch_skews`].
-pub fn batch_skews_from_views(grid: &HexGrid, views: &[RunView], h: usize) -> BatchSkews {
-    let mut acc = BatchSkews::default();
-    for rv in views {
-        acc.add(grid, rv, h, 0);
-    }
-    acc
-}
-
 /// A [`Reducer`] estimating the stabilization pulse of every run against
 /// several threshold [`Criterion`]s at once (Figs. 18/19 evaluate classes
-/// `C ∈ {0,…,3}` over one shared batch). The accumulator holds, per
+/// `C ∈ {0,…,3}` over one shared batch), for [`RunSpec::fold_observed`]:
+/// each estimate comes straight from the worker's [`PulseBinner`] slots,
+/// so the stabilization sweeps never materialize a
+/// [`PulseView`](hex_sim::PulseView). The accumulator holds, per
 /// criterion, the per-run estimates in run order — exactly what
-/// [`crate::stabilization::summarize`] consumes.
-#[derive(Debug)]
-pub struct StabilizationReducer<'a> {
-    grid: &'a HexGrid,
-    criteria: &'a [Criterion],
-    h: usize,
-}
-
-impl<'a> StabilizationReducer<'a> {
-    /// Estimate against `criteria` with `h`-hop fault exclusion.
-    pub fn new(grid: &'a HexGrid, criteria: &'a [Criterion], h: usize) -> Self {
-        StabilizationReducer { grid, criteria, h }
-    }
-}
-
-impl Reducer<RunView> for StabilizationReducer<'_> {
-    type Acc = Vec<Vec<Option<usize>>>;
-
-    fn empty(&self) -> Self::Acc {
-        vec![Vec::new(); self.criteria.len()]
-    }
-
-    fn fold(&self, acc: &mut Self::Acc, run: usize, rv: RunView) {
-        self.fold_ref(acc, run, &rv);
-    }
-
-    // Read-only reduction: fold straight from the worker's scratch views.
-    fn fold_ref(&self, acc: &mut Self::Acc, _run: usize, rv: &RunView) {
-        let mask = exclusion_mask(self.grid, &rv.faulty, self.h);
-        for (ci, criterion) in self.criteria.iter().enumerate() {
-            acc[ci].push(stabilization_pulse(self.grid, &rv.views, &mask, criterion));
-        }
-    }
-
-    fn merge(&self, mut left: Self::Acc, right: Self::Acc) -> Self::Acc {
-        for (l, r) in left.iter_mut().zip(right) {
-            l.extend(r);
-        }
-        left
-    }
-}
-
-/// The observer-backed twin of [`StabilizationReducer`], for
-/// [`RunSpec::fold_observed`]: estimates each run's stabilization pulse
-/// straight from the worker's [`PulseBinner`] slots — the multi-pulse
-/// stabilization sweeps (Figs. 18/19) no longer materialize a single
-/// [`PulseView`](hex_sim::PulseView). Estimates are identical to the
-/// materialized path's, pinned by the workspace observer walls.
+/// [`crate::stabilization::summarize`] consumes. Each estimate equals
+/// [`stabilization_pulse`](crate::stabilization::stabilization_pulse) over
+/// the run's materialized views, pinned by the workspace observer wall.
 #[derive(Debug)]
 pub struct ObservedStabilizationReducer<'a> {
     grid: &'a HexGrid,
@@ -395,10 +286,6 @@ impl Reducer<PulseBinner> for ObservedStabilizationReducer<'_> {
 
     fn empty(&self) -> Self::Acc {
         vec![Vec::new(); self.criteria.len()]
-    }
-
-    fn fold(&self, acc: &mut Self::Acc, run: usize, binner: PulseBinner) {
-        self.fold_ref(acc, run, &binner);
     }
 
     // Per-pulse completeness and skew maxima are criterion-independent:
@@ -463,10 +350,6 @@ impl Reducer<PulseBinner> for ObservedRestabilizationReducer<'_> {
         Vec::new()
     }
 
-    fn fold(&self, acc: &mut Self::Acc, run: usize, binner: PulseBinner) {
-        self.fold_ref(acc, run, &binner);
-    }
-
     fn fold_ref(&self, acc: &mut Self::Acc, _run: usize, binner: &PulseBinner) {
         let mask = exclusion_mask(self.grid, binner.faulty(), self.h);
         let profiles = observed_pulse_profiles(self.grid, binner, &mask);
@@ -514,6 +397,7 @@ pub fn campaign_restabilization(spec: &RunSpec, criterion: &Criterion, h: usize)
 mod tests {
     use super::*;
     use crate::skew::collect_skews;
+    use crate::stabilization::stabilization_pulse;
     use hex_clock::Scenario;
     use hex_core::D_PLUS;
     use hex_sim::spec::FaultRegime;
@@ -521,23 +405,6 @@ mod tests {
 
     fn small() -> RunSpec {
         RunSpec::grid(12, 8).runs(20).threads(2)
-    }
-
-    #[test]
-    fn streaming_equals_collect_then_fold() {
-        for threads in [1usize, 2, 8] {
-            let spec = small()
-                .scenario(Scenario::RandomDPlus)
-                .faults(FaultRegime::FailSilent(1))
-                .threads(threads);
-            let grid = spec.hex_grid();
-            let streamed = batch_skews(&spec, 1);
-            let sequential = batch_skews_from_views(&grid, &spec.run_batch(), 1);
-            assert_eq!(streamed.cumulated.intra, sequential.cumulated.intra);
-            assert_eq!(streamed.cumulated.inter, sequential.cumulated.inter);
-            assert_eq!(streamed.per_run_intra(), sequential.per_run_intra());
-            assert_eq!(streamed.per_run_inter(), sequential.per_run_inter());
-        }
     }
 
     /// Per-run summaries cut `cumulated` by the recorded counts, and runs
@@ -588,86 +455,27 @@ mod tests {
         batch_skews(&spec, 0);
     }
 
+    /// `at_pulse` reduces the requested pulse of every run: pulses 0 and 3
+    /// of a corrupted-init batch against `collect_skews` over each run's
+    /// materialized view of that pulse.
     #[test]
-    fn at_pulse_selects_the_requested_view() {
-        let spec = small().runs(3).pulses(4).init(InitState::Arbitrary);
-        let grid = spec.hex_grid();
-        let last = spec.fold(&SkewReducer::new(&grid, 0).at_pulse(3));
-        assert_eq!(last.runs(), 3);
-        // Manually reduce pulse 3 of each run and compare.
-        let mut expected = BatchSkews::default();
-        for rv in spec.run_batch() {
-            let mask = exclusion_mask(&grid, &rv.faulty, 0);
-            let s = collect_skews(&grid, &rv.views[3], &mask);
-            expected.cumulated.extend(&s);
-        }
-        assert_eq!(last.cumulated.intra, expected.cumulated.intra);
-    }
-
-    /// The streaming extraction path is byte-identical to the
-    /// materialized reference: identical cumulated sample *vectors*
-    /// (order included), identical per-run summaries, across fault
-    /// regimes and exclusion radii.
-    #[test]
-    fn observed_skews_equal_materialized_bytes() {
-        for (h, faults) in [
-            (0usize, FaultRegime::None),
-            (0, FaultRegime::Byzantine(2)),
-            (
-                1,
-                FaultRegime::Mixed {
-                    byzantine: 1,
-                    fail_silent: 1,
-                },
-            ),
-        ] {
-            let spec = small().scenario(Scenario::RandomDPlus).faults(faults);
-            let grid = spec.hex_grid();
-            let observed = spec.fold_observed(&ObservedSkewReducer::new(&grid, h));
-            let materialized = spec.fold(&SkewReducer::new(&grid, h));
-            assert_eq!(
-                observed.cumulated.intra, materialized.cumulated.intra,
-                "h = {h}"
-            );
-            assert_eq!(
-                observed.cumulated.inter, materialized.cumulated.inter,
-                "h = {h}"
-            );
-            assert_eq!(
-                observed.per_run_intra(),
-                materialized.per_run_intra(),
-                "h = {h}"
-            );
-            assert_eq!(
-                observed.per_run_inter(),
-                materialized.per_run_inter(),
-                "h = {h}"
-            );
-        }
-    }
-
-    /// `at_pulse` on the observed reducer selects the same pulse as the
-    /// materialized one, for a corrupted-init multi-pulse batch.
-    #[test]
-    fn observed_at_pulse_equals_materialized() {
+    fn at_pulse_selects_the_requested_pulse() {
         let spec = small().runs(4).pulses(4).init(InitState::Arbitrary);
         let grid = spec.hex_grid();
+        let runs = spec.run_batch();
         for pulse in [0usize, 3] {
             let observed = spec.fold_observed(&ObservedSkewReducer::new(&grid, 0).at_pulse(pulse));
-            let materialized = spec.fold(&SkewReducer::new(&grid, 0).at_pulse(pulse));
-            assert_eq!(
-                observed.cumulated.intra, materialized.cumulated.intra,
-                "pulse {pulse}"
-            );
-            assert_eq!(
-                observed.cumulated.inter, materialized.cumulated.inter,
-                "pulse {pulse}"
-            );
-            assert_eq!(
-                observed.per_run_intra(),
-                materialized.per_run_intra(),
-                "pulse {pulse}"
-            );
+            let mut expected = SkewSamples::default();
+            let mut per_run_intra = Vec::new();
+            for rv in &runs {
+                let mask = exclusion_mask(&grid, &rv.faulty, 0);
+                let s = collect_skews(&grid, &rv.views[pulse], &mask);
+                per_run_intra.extend(Summary::from_durations(&s.intra));
+                expected.extend(&s);
+            }
+            assert_eq!(observed.cumulated.intra, expected.intra, "pulse {pulse}");
+            assert_eq!(observed.cumulated.inter, expected.inter, "pulse {pulse}");
+            assert_eq!(observed.per_run_intra(), per_run_intra, "pulse {pulse}");
         }
     }
 
@@ -677,34 +485,6 @@ mod tests {
         let spec = small().runs(1).threads(1);
         let grid = spec.hex_grid();
         spec.fold_observed(&ObservedSkewReducer::new(&grid, 0).at_pulse(2));
-    }
-
-    /// The observed stabilization reducer reproduces the materialized
-    /// estimates for every criterion, including runs that never
-    /// stabilize.
-    #[test]
-    fn observed_stabilization_equals_materialized() {
-        use hex_des::Duration;
-        let spec = small()
-            .runs(6)
-            .scenario(Scenario::Zero)
-            .faults(FaultRegime::FailSilent(1))
-            .pulses(5)
-            .init(InitState::Arbitrary);
-        let grid = spec.hex_grid();
-        let mut criteria: Vec<Criterion> = (1..=3u8)
-            .map(|c| Criterion::class(c, D_PLUS, spec.length, |_| D_PLUS))
-            .collect();
-        // An impossible bound: estimates must be None on both paths.
-        criteria.push(Criterion::uniform(
-            Duration::ZERO,
-            Duration::ZERO,
-            spec.length,
-        ));
-        let observed = spec.fold_observed(&ObservedStabilizationReducer::new(&grid, &criteria, 0));
-        let materialized = spec.fold(&StabilizationReducer::new(&grid, &criteria, 0));
-        assert_eq!(observed, materialized);
-        assert!(observed.last().unwrap().iter().all(Option::is_none));
     }
 
     /// A scripted crash + clean rejoin between two pulses: every run
@@ -757,18 +537,27 @@ mod tests {
         campaign_restabilization(&small(), &crit, 0);
     }
 
+    /// The stabilization reducer reproduces the per-run estimate over the
+    /// materialized views for every criterion, including an impossible one
+    /// that no run ever meets.
     #[test]
     fn stabilization_reducer_matches_per_run_loop() {
         let spec = small()
-            .runs(4)
+            .runs(6)
             .scenario(Scenario::Zero)
+            .faults(FaultRegime::FailSilent(1))
             .pulses(5)
             .init(InitState::Arbitrary);
         let grid = spec.hex_grid();
-        let criteria: Vec<Criterion> = (1..=3u8)
+        let mut criteria: Vec<Criterion> = (1..=3u8)
             .map(|c| Criterion::class(c, D_PLUS, spec.length, |_| D_PLUS))
             .collect();
-        let streamed = spec.fold(&StabilizationReducer::new(&grid, &criteria, 0));
+        criteria.push(Criterion::uniform(
+            Duration::ZERO,
+            Duration::ZERO,
+            spec.length,
+        ));
+        let streamed = spec.fold_observed(&ObservedStabilizationReducer::new(&grid, &criteria, 0));
         let runs = spec.run_batch();
         for (ci, criterion) in criteria.iter().enumerate() {
             let expected: Vec<Option<usize>> = runs
@@ -780,5 +569,6 @@ mod tests {
                 .collect();
             assert_eq!(streamed[ci], expected, "criterion {ci}");
         }
+        assert!(streamed.last().unwrap().iter().all(Option::is_none));
     }
 }

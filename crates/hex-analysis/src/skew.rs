@@ -48,11 +48,11 @@ pub fn exclusion_mask(grid: &HexGrid, faulty: &[NodeId], h: usize) -> Vec<bool> 
     mask
 }
 
-/// The shared sample walk of both extraction paths: `get(layer, col)` is
-/// the exclusion-masked triggering time (from a [`PulseView`] or a
-/// [`PulseBinner`] pulse), and the samples are appended to `out`. One
-/// canonical traversal order means the two paths produce *identical sample
-/// vectors*, not just identical statistics.
+/// The shared sample walk of the batch reduction and the per-view
+/// reference: `get(layer, col)` is the exclusion-masked triggering time
+/// (from a [`PulseBinner`] pulse or a [`PulseView`]), and the samples are
+/// appended to `out`. One canonical traversal order means the two produce
+/// *identical sample vectors*, not just identical statistics.
 // Inlined into each caller: as a shared out-of-line call the walk measured
 // ~1.4× slower on 50×20 grids.
 #[inline(always)]
@@ -80,7 +80,7 @@ pub(crate) fn collect_skews_with(
     }
 }
 
-/// The exclusion-masked time accessor of the materialized path.
+/// The exclusion-masked time accessor of a materialized [`PulseView`].
 pub(crate) fn masked_view<'a>(
     grid: &'a HexGrid,
     view: &'a PulseView,
@@ -96,7 +96,7 @@ pub(crate) fn masked_view<'a>(
     }
 }
 
-/// The exclusion-masked time accessor of the streaming path.
+/// The exclusion-masked time accessor of one [`PulseBinner`] pulse.
 pub(crate) fn masked_binner<'a>(
     grid: &'a HexGrid,
     binner: &'a PulseBinner,
@@ -126,25 +126,8 @@ pub fn collect_skews(grid: &HexGrid, view: &PulseView, excluded: &[bool]) -> Ske
     out
 }
 
-/// [`collect_skews`] over pulse `pulse` of a streaming [`PulseBinner`]:
-/// identical samples in identical order, no [`PulseView`] required.
-pub fn collect_skews_observed(
-    grid: &HexGrid,
-    binner: &PulseBinner,
-    pulse: usize,
-    excluded: &[bool],
-) -> SkewSamples {
-    let mut out = SkewSamples::default();
-    collect_skews_with(
-        grid.length(),
-        grid.width(),
-        masked_binner(grid, binner, pulse, excluded),
-        &mut out,
-    );
-    out
-}
-
-/// The shared per-layer intra-max walk of both extraction paths.
+/// The shared per-layer intra-max walk of [`per_layer_max_intra`] and the
+/// stabilization profiles.
 pub(crate) fn per_layer_max_intra_with(
     l: u32,
     w: u32,
@@ -164,7 +147,8 @@ pub(crate) fn per_layer_max_intra_with(
         .collect()
 }
 
-/// The shared per-layer inter-max walk of both extraction paths.
+/// The shared per-layer inter-max walk of [`per_layer_max_inter`] and the
+/// stabilization profiles.
 pub(crate) fn per_layer_max_inter_with(
     l: u32,
     w: u32,
@@ -204,21 +188,6 @@ pub fn per_layer_max_intra(
     )
 }
 
-/// [`per_layer_max_intra`] over pulse `pulse` of a streaming
-/// [`PulseBinner`].
-pub fn per_layer_max_intra_observed(
-    grid: &HexGrid,
-    binner: &PulseBinner,
-    pulse: usize,
-    excluded: &[bool],
-) -> Vec<Option<Duration>> {
-    per_layer_max_intra_with(
-        grid.length(),
-        grid.width(),
-        masked_binner(grid, binner, pulse, excluded),
-    )
-}
-
 /// Per-layer maximum absolute inter-layer skew towards layer `ℓ−1`.
 pub fn per_layer_max_inter(
     grid: &HexGrid,
@@ -229,21 +198,6 @@ pub fn per_layer_max_inter(
         grid.length(),
         grid.width(),
         masked_view(grid, view, excluded),
-    )
-}
-
-/// [`per_layer_max_inter`] over pulse `pulse` of a streaming
-/// [`PulseBinner`].
-pub fn per_layer_max_inter_observed(
-    grid: &HexGrid,
-    binner: &PulseBinner,
-    pulse: usize,
-    excluded: &[bool],
-) -> Vec<Option<Duration>> {
-    per_layer_max_inter_with(
-        grid.length(),
-        grid.width(),
-        masked_binner(grid, binner, pulse, excluded),
     )
 }
 

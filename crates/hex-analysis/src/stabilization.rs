@@ -77,22 +77,6 @@ pub fn pulse_satisfies(
     profile_with(grid, excluded, |layer, col| view.time(layer, col)).satisfies(criterion)
 }
 
-/// [`pulse_satisfies`] over pulse `pulse` of a streaming
-/// [`PulseBinner`]: identical verdict, no [`PulseView`] required.
-pub fn pulse_satisfies_observed(
-    grid: &HexGrid,
-    binner: &PulseBinner,
-    pulse: usize,
-    excluded: &[bool],
-    criterion: &Criterion,
-) -> bool {
-    assert_eq!(criterion.layers(), grid.length(), "criterion layer count");
-    profile_with(grid, excluded, |layer, col| {
-        binner.grid_time(pulse, layer, col)
-    })
-    .satisfies(criterion)
-}
-
 /// The **criterion-independent** part of one pulse's stabilization check:
 /// completeness of every non-excluded node plus the per-layer skew
 /// maxima. Evaluating a [`Criterion`] against a profile is then a pure
@@ -139,8 +123,8 @@ impl PulseProfile {
 }
 
 /// Extract one pulse's [`PulseProfile`] through a raw (unmasked) time
-/// accessor — the single walk shared by the materialized and the
-/// streaming path. Maxima are skipped for incomplete pulses (they can
+/// accessor — the single walk shared by the per-view check and the
+/// observed profiles. Maxima are skipped for incomplete pulses (they can
 /// never satisfy any criterion).
 fn profile_with(
     grid: &HexGrid,
@@ -212,19 +196,6 @@ pub fn stabilization_pulse(
         .map(|v| pulse_satisfies(grid, v, excluded, criterion))
         .collect();
     longest_suffix_start(&ok)
-}
-
-/// [`stabilization_pulse`] over all pulses of a streaming
-/// [`PulseBinner`]: identical estimate, no [`PulseView`]s required.
-/// Multi-criterion sweeps should extract [`observed_pulse_profiles`] once
-/// and call [`stabilization_from_profiles`] per criterion instead.
-pub fn stabilization_pulse_observed(
-    grid: &HexGrid,
-    binner: &PulseBinner,
-    excluded: &[bool],
-    criterion: &Criterion,
-) -> Option<usize> {
-    stabilization_from_profiles(&observed_pulse_profiles(grid, binner, excluded), criterion)
 }
 
 /// Start of the longest `true` suffix, `None` if the last pulse fails.

@@ -1,11 +1,10 @@
 //! Reduced-run versions of the Table 1 / Table 2 pipelines, keeping
 //! `cargo bench` an honest end-to-end exercise of the experiment drivers.
 //! Both pipelines run through `RunSpec` + the streaming `batch_skews`
-//! reduction, and the materializing path is timed next to it so the
-//! streaming win stays measurable.
+//! reduction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hex_bench::{batch_skews, batch_skews_from_views, FaultRegime, RunSpec};
+use hex_bench::{batch_skews, FaultRegime, RunSpec};
 use hex_clock::Scenario;
 
 fn bench_tables(c: &mut Criterion) {
@@ -16,20 +15,6 @@ fn bench_tables(c: &mut Criterion) {
         BenchmarkId::new("table1_pipeline", "10_runs"),
         &exp,
         |b, exp| b.iter(|| batch_skews(exp, 0).cumulated.intra.len()),
-    );
-    g.bench_with_input(
-        BenchmarkId::new("table1_pipeline_materialized", "10_runs"),
-        &exp,
-        |b, exp| {
-            b.iter(|| {
-                let grid = exp.hex_grid();
-                let views = exp.run_batch();
-                batch_skews_from_views(&grid, &views, 0)
-                    .cumulated
-                    .intra
-                    .len()
-            })
-        },
     );
     let byz = exp.clone().faults(FaultRegime::Byzantine(1));
     g.bench_with_input(

@@ -9,7 +9,7 @@
 
 use hex_analysis::skew::{exclusion_mask, per_layer_max_intra};
 use hex_analysis::stats::Summary;
-use hex_bench::{batch_skews_from_views, RunSpec};
+use hex_bench::{batch_skews, RunSpec};
 use hex_clock::Scenario;
 use hex_core::{D_MINUS, D_PLUS};
 use hex_des::Duration;
@@ -46,11 +46,7 @@ fn main() {
             potential0: pot,
         };
         let spec = base.clone().scenario(scenario);
-        let grid = spec.hex_grid();
-        // The per-layer ramp detail below needs the views themselves, so
-        // materialize once and fold sequentially.
-        let views = spec.run_batch();
-        let skews = batch_skews_from_views(&grid, &views, 0);
+        let skews = batch_skews(&spec, 0);
         let measured = Summary::from_durations(&skews.cumulated.intra).unwrap();
         let bound = thm.intra_max();
         let ok = measured.max <= bound.ns() + 1e-9;
@@ -65,7 +61,10 @@ fn main() {
         assert!(ok, "Theorem 1 violated for {}", scenario.label());
 
         if scenario == Scenario::Ramp {
-            // Per-layer detail: the transient (ℓ < 2W−2) vs steady regime.
+            // Per-layer detail: the transient (ℓ < 2W−2) vs steady regime,
+            // from the materialized views of the batch.
+            let grid = spec.hex_grid();
+            let views = spec.run_batch();
             let mask = exclusion_mask(&grid, &[], 0);
             let mut transient_max = Duration::ZERO;
             let mut steady_max = Duration::ZERO;

@@ -28,10 +28,7 @@ use hex_core::{D_MINUS, D_PLUS};
 use hex_des::{Duration, Schedule, Time};
 
 pub use hex_analysis::emit::{Emitter, Table, Value};
-pub use hex_analysis::reduce::{
-    batch_skews, batch_skews_from_views, BatchSkews, ObservedSkewReducer, SkewReducer,
-    StabilizationReducer,
-};
+pub use hex_analysis::reduce::{batch_skews, BatchSkews, ObservedSkewReducer};
 pub use hex_sim::spec::{
     scenario_separation, scenario_timing, FaultRegime, RunSpec, RunView, TimingPolicy,
 };

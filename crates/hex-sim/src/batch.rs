@@ -27,7 +27,7 @@
 //!     fn empty(&self) -> Self::Acc {
 //!         (0, 0)
 //!     }
-//!     fn fold(&self, acc: &mut Self::Acc, _run: usize, item: u64) {
+//!     fn fold_ref(&self, acc: &mut Self::Acc, _run: usize, item: &u64) {
 //!         acc.0 += item;
 //!         acc.1 += 1;
 //!     }
@@ -132,11 +132,10 @@ where
 /// which every "append to vectors / add to tallies" reduction satisfies.
 /// `merge` is always called with `left` covering the lower run indices.
 ///
-/// The item type is whatever the batch produces per run: materialized
-/// [`RunView`](crate::RunView)s for [`RunSpec::fold`](crate::RunSpec::fold),
-/// or borrowed [`PulseBinner`](crate::PulseBinner) observer state for the
-/// streaming [`RunSpec::fold_observed`](crate::RunSpec::fold_observed) —
-/// the same contract covers both extraction paths.
+/// The item type is whatever the batch produces per run: the borrowed
+/// [`PulseBinner`](crate::PulseBinner) observer state of
+/// [`RunSpec::fold_observed`](crate::RunSpec::fold_observed), or the job
+/// output of [`run_batch_fold`].
 pub trait Reducer<T> {
     /// The accumulator type.
     type Acc: Send;
@@ -144,21 +143,12 @@ pub trait Reducer<T> {
     /// A fresh (identity) accumulator.
     fn empty(&self) -> Self::Acc;
 
-    /// Fold one run's result into the accumulator. Called exactly once per
-    /// run, in ascending run order *within* each accumulator.
-    fn fold(&self, acc: &mut Self::Acc, run: usize, item: T);
-
-    /// Fold one run's result **by reference**, leaving `item` intact so the
-    /// caller can reuse its buffers for the next run (the scratch-backed
-    /// batch paths depend on this). The default clones and delegates to
-    /// [`Reducer::fold`]; reducers that only read the item override it to
-    /// skip the clone.
-    fn fold_ref(&self, acc: &mut Self::Acc, run: usize, item: &T)
-    where
-        T: Clone,
-    {
-        self.fold(acc, run, item.clone());
-    }
+    /// Fold one run's result into the accumulator **by reference**,
+    /// leaving `item` intact so the caller can reuse its buffers for the
+    /// next run (the scratch-backed batch paths depend on this). Called
+    /// exactly once per run, in ascending run order *within* each
+    /// accumulator.
+    fn fold_ref(&self, acc: &mut Self::Acc, run: usize, item: &T);
 
     /// Merge two accumulators; `left` covers strictly lower run indices
     /// than `right`.
@@ -186,7 +176,7 @@ where
         threads,
         || (),
         || reducer.empty(),
-        |(), acc, run| reducer.fold(acc, run, job(run)),
+        |(), acc, run| reducer.fold_ref(acc, run, &job(run)),
         |left, right| reducer.merge(left, right),
     )
 }
@@ -383,8 +373,8 @@ mod tests {
         fn empty(&self) -> Self::Acc {
             Vec::new()
         }
-        fn fold(&self, acc: &mut Self::Acc, run: usize, item: u64) {
-            acc.push((run, item));
+        fn fold_ref(&self, acc: &mut Self::Acc, run: usize, item: &u64) {
+            acc.push((run, *item));
         }
         fn merge(&self, mut left: Self::Acc, right: Self::Acc) -> Self::Acc {
             left.extend(right);

@@ -278,7 +278,7 @@ fn calendar_geometry(cfg: &SimConfig, nodes: usize) -> (i64, usize) {
 /// One run of [`simulate_into`] on a dirty scratch is **byte-identical** to
 /// [`simulate`] on fresh allocations (pinned by the workspace determinism
 /// wall and a property suite): reuse only recycles capacity, never state.
-/// The batch paths ([`RunSpec::fold`](crate::spec::RunSpec::fold),
+/// The batch paths ([`RunSpec::fold_observed`](crate::spec::RunSpec::fold_observed),
 /// [`RunSpec::run_batch`](crate::spec::RunSpec::run_batch)) allocate one
 /// scratch per worker thread, so a 250-run sweep performs O(threads) rather
 /// than O(runs) trace-sized allocations.

@@ -7,8 +7,8 @@
 //! count and separation, the delay model, and the per-run seed policy.
 //! Batches execute on the parallel runner of [`crate::batch`], either
 //! materialized ([`RunSpec::run_batch`]) or streamed through a
-//! [`Reducer`](crate::batch::Reducer) ([`RunSpec::fold`]) so that per-run
-//! map+reduce never holds a whole 250-run sweep in memory.
+//! [`Reducer`](crate::batch::Reducer) ([`RunSpec::fold_observed`]) so that
+//! per-run map+reduce never holds a whole 250-run sweep in memory.
 //!
 //! ```
 //! use hex_clock::Scenario;
@@ -263,7 +263,7 @@ pub struct RunInputs {
 /// Construct with [`RunSpec::grid`] / [`RunSpec::paper`] /
 /// [`RunSpec::small`] / [`RunSpec::from_env`], refine with the builder
 /// methods, then execute with [`RunSpec::run_batch`] (materialize all
-/// views), [`RunSpec::fold`] (streaming map+reduce), or
+/// views), [`RunSpec::fold_observed`] (streaming map+reduce), or
 /// [`RunSpec::run_single`] / [`RunSpec::trace`] (one run).
 ///
 /// Fields are public so thin drivers can read the shape back (`spec.runs`,
@@ -598,32 +598,6 @@ impl RunSpec {
         })
     }
 
-    /// Execute the whole batch in parallel, streaming each run's views
-    /// into `reducer` on the worker that produced them (see
-    /// [`crate::batch::run_batch_fold_with`]). Equivalent to
-    /// [`RunSpec::run_batch`] followed by a sequential fold, without ever
-    /// materializing the batch. Every worker owns a single [`SimScratch`]
-    /// and the reducer consumes each run's views **by reference**
-    /// ([`Reducer::fold_ref`]), so the whole sweep runs on O(threads)
-    /// trace-sized allocations.
-    pub fn fold<R>(&self, reducer: &R) -> R::Acc
-    where
-        R: Reducer<RunView> + Sync,
-    {
-        let grid = self.hex_grid();
-        batch::run_batch_fold_with(
-            self.runs,
-            self.threads,
-            SimScratch::new,
-            || reducer.empty(),
-            |scratch, acc, run| {
-                let rv = self.run_one_into(&grid, scratch, run);
-                reducer.fold_ref(acc, run, rv);
-            },
-            |left, right| reducer.merge(left, right),
-        )
-    }
-
     /// Execute run 0 only (Figs. 8/9/13/14 plot one representative wave).
     pub fn run_single(&self) -> RunView {
         let grid = self.hex_grid();
@@ -632,14 +606,16 @@ impl RunSpec {
 
     /// Execute the whole batch in parallel on the **streaming extraction
     /// path** and reduce every run's [`PulseBinner`] on the worker that
-    /// produced it: the observer-backed twin of [`RunSpec::fold`]. Skew
+    /// produced it (see [`crate::batch::run_batch_fold_with`]). Skew
     /// samples and stabilization estimates are accumulated online as fires
     /// happen — no run of the sweep ever materializes a trace or a
-    /// [`PulseView`] — while each worker still owns a single
-    /// [`SimScratch`], so the whole sweep runs on O(threads) trace-sized
-    /// allocations. For the reducers in `hex_analysis::reduce` the result
-    /// is byte-identical to the materialized path at any thread count
-    /// (pinned by the workspace observer walls).
+    /// [`PulseView`] — while each worker owns a single [`SimScratch`] and
+    /// the reducer reads each binner **by reference**
+    /// ([`Reducer::fold_ref`]), so the whole sweep runs on O(threads)
+    /// trace-sized allocations. The result is independent of the thread
+    /// count, and for the reducers in `hex_analysis::reduce` it equals
+    /// [`RunSpec::run_batch`] reduced view by view (pinned by the workspace
+    /// observer wall).
     pub fn fold_observed<R>(&self, reducer: &R) -> R::Acc
     where
         R: Reducer<PulseBinner> + Sync,
@@ -854,16 +830,14 @@ mod tests {
 
         /// Counts a cheap per-run statistic (order-sensitive enough).
         struct Fires;
-        impl Reducer<RunView> for Fires {
+        impl Reducer<PulseBinner> for Fires {
             type Acc = Vec<usize>;
             fn empty(&self) -> Vec<usize> {
                 Vec::new()
             }
-            fn fold(&self, acc: &mut Vec<usize>, run: usize, rv: RunView) {
-                self.fold_ref(acc, run, &rv);
-            }
-            fn fold_ref(&self, acc: &mut Vec<usize>, _run: usize, rv: &RunView) {
-                acc.push(rv.views.iter().map(|v| v.spurious).sum::<usize>() + rv.faulty.len());
+            fn fold_ref(&self, acc: &mut Vec<usize>, _run: usize, binner: &PulseBinner) {
+                let fired = binner.slots().iter().filter(|t| t.is_some()).count();
+                acc.push(fired + binner.spurious() + binner.faulty().len());
             }
             fn merge(&self, mut left: Vec<usize>, right: Vec<usize>) -> Vec<usize> {
                 left.extend(right);
@@ -888,8 +862,8 @@ mod tests {
         // performs O(threads) scratch constructions, each growing its
         // trace-sized buffers exactly once — not O(runs). The factory is
         // instrumented locally (no global counter), with the same wiring
-        // `RunSpec::fold` uses; the accumulator is pinned against the
-        // public path to keep the two in lockstep.
+        // `RunSpec::fold_observed` uses; the accumulator is pinned against
+        // the public path to keep the two in lockstep.
         for threads in [1usize, 3] {
             let spec = RunSpec::grid(6, 5).runs(40).threads(threads).seed(9);
             let grid = spec.hex_grid();
@@ -907,13 +881,13 @@ mod tests {
                 },
                 || Fires.empty(),
                 |tallied, acc, run| {
-                    let rv = spec.run_one_into(&grid, &mut tallied.scratch, run);
-                    Fires.fold_ref(acc, run, rv);
+                    let binner = spec.run_one_observed_into(&grid, &mut tallied.scratch, run);
+                    Fires.fold_ref(acc, run, binner);
                 },
                 |left, right| Fires.merge(left, right),
             );
             assert_eq!(acc.len(), 40);
-            assert_eq!(acc, spec.fold(&Fires), "threads = {threads}");
+            assert_eq!(acc, spec.fold_observed(&Fires), "threads = {threads}");
             let created = created.load(Ordering::Relaxed);
             assert!(
                 created <= threads,

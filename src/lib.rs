@@ -68,9 +68,9 @@
 //! `batch_skews` rides the **streaming observer path**: the engine bins
 //! every firing to its pulse online ([`sim::PulseBinner`]) and the skew
 //! reduction folds straight off the binner slots
-//! ([`sim::RunSpec::fold_observed`]) — byte-identical to the materialized
-//! `PulseView` reference path, which remains available through
-//! [`sim::RunSpec::fold`]:
+//! ([`sim::RunSpec::fold_observed`]). The result equals the paper's
+//! definition applied to each run's materialized `PulseView`, which
+//! [`sim::RunSpec::run_batch`] still returns:
 //!
 //! ```
 //! use hexclock::prelude::*;
@@ -78,8 +78,12 @@
 //! let spec = RunSpec::grid(8, 6).runs(3).seed(1);
 //! let grid = spec.hex_grid();
 //! let streamed = spec.fold_observed(&ObservedSkewReducer::new(&grid, 0));
-//! let reference = spec.fold(&SkewReducer::new(&grid, 0));
-//! assert_eq!(streamed.cumulated.intra, reference.cumulated.intra);
+//! let mut reference = SkewSamples::default();
+//! for rv in spec.run_batch() {
+//!     let mask = exclusion_mask(&grid, &rv.faulty, 0);
+//!     reference.extend(&collect_skews(&grid, rv.view(), &mask));
+//! }
+//! assert_eq!(streamed.cumulated.intra, reference.intra);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -99,13 +103,10 @@ pub use hex_tree as tree;
 pub mod prelude {
     pub use hex_analysis::emit::{Emitter, Table, Value};
     pub use hex_analysis::reduce::{
-        batch_skews, batch_skews_from_views, campaign_restabilization, BatchSkews,
-        ObservedRestabilizationReducer, ObservedSkewReducer, ObservedStabilizationReducer,
-        SkewReducer, StabilizationReducer,
+        batch_skews, campaign_restabilization, BatchSkews, ObservedRestabilizationReducer,
+        ObservedSkewReducer, ObservedStabilizationReducer,
     };
-    pub use hex_analysis::skew::{
-        collect_skews, collect_skews_observed, exclusion_mask, SkewSamples,
-    };
+    pub use hex_analysis::skew::{collect_skews, exclusion_mask, SkewSamples};
     pub use hex_analysis::stabilization::{
         campaign_summary_table, summarize_campaign, CampaignStats, DisturbanceStats,
         Restabilization,

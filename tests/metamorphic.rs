@@ -5,11 +5,11 @@
 //! footnote 6).
 //!
 //! The skew-distribution tests at the bottom run every property against
-//! **both extraction paths** — the materialized `PulseView` pipeline and
-//! the streaming observer fold — so a symmetry violation in either one
-//! (or a divergence between them) fails the same wall.
+//! **both extraction paths** — `collect_skews` over each run's
+//! materialized `PulseView` and the streaming observer fold — so a
+//! symmetry violation in either one (or a divergence between them) fails
+//! the same wall.
 
-use hexclock::analysis::reduce::{ObservedSkewReducer, SkewReducer};
 use hexclock::prelude::*;
 
 const L: u32 = 10;
@@ -138,20 +138,24 @@ fn batch_results_independent_of_thread_count() {
     assert_eq!(one, four);
 }
 
-/// Both extraction paths' skew samples for a single-run spec, as one
-/// `BatchSkews` each — asserted byte-equal before any metamorphic use, so
-/// every property below implicitly re-pins path equivalence on its
-/// transformed inputs too.
+/// The observed fold's skew samples for a single-run spec, asserted
+/// byte-equal to `collect_skews` over the run's materialized view before
+/// any metamorphic use, so every property below implicitly re-pins path
+/// equivalence on its transformed inputs too.
 fn both_path_skews(spec: &RunSpec, h: usize) -> BatchSkews {
     let grid = spec.hex_grid();
-    let materialized = spec.fold(&SkewReducer::new(&grid, h));
     let observed = spec.fold_observed(&ObservedSkewReducer::new(&grid, h));
+    let mut materialized = SkewSamples::default();
+    for rv in spec.run_batch() {
+        let mask = exclusion_mask(&grid, &rv.faulty, h);
+        materialized.extend(&collect_skews(&grid, rv.view(), &mask));
+    }
     assert_eq!(
-        observed.cumulated.intra, materialized.cumulated.intra,
+        observed.cumulated.intra, materialized.intra,
         "extraction paths diverged (intra)"
     );
     assert_eq!(
-        observed.cumulated.inter, materialized.cumulated.inter,
+        observed.cumulated.inter, materialized.inter,
         "extraction paths diverged (inter)"
     );
     observed

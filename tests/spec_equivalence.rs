@@ -10,10 +10,11 @@
 //!    byte-identical to the legacy `simulate(...)` wiring;
 //! 2. a `RunSpec`-built 50×20 Byzantine stabilization batch is
 //!    byte-identical to the legacy wiring;
-//! 3. `run_batch_fold` (streaming, chunk-stealing) equals `run_batch` +
-//!    sequential fold at any thread count, for the real skew reduction.
+//! 3. the streaming observed fold equals `run_batch` reduced run by run at
+//!    any thread count, for the multi-pulse stabilization reduction, and
+//!    `run_batch_fold` (streaming, chunk-stealing) equals `run_batch` + a
+//!    sequential fold.
 
-use hexclock::analysis::reduce::{batch_skews, batch_skews_from_views};
 use hexclock::core::fault::{forwarder_candidates, place_condition1};
 use hexclock::core::NodeFault;
 use hexclock::prelude::*;
@@ -96,45 +97,13 @@ fn byzantine_stabilization_batch_is_byte_identical_to_legacy_wiring() {
 }
 
 #[test]
-fn streaming_fold_equals_materialize_then_fold_at_any_thread_count() {
-    let base = RunSpec::grid(12, 8)
-        .runs(20)
-        .scenario(Scenario::Ramp)
-        .faults(FaultRegime::Byzantine(2));
-    let grid = base.hex_grid();
-    let reference = batch_skews_from_views(&grid, &base.clone().threads(1).run_batch(), 1);
-    for threads in [1usize, 2, 3, 8, 64] {
-        let streamed = batch_skews(&base.clone().threads(threads), 1);
-        assert_eq!(
-            streamed.cumulated.intra, reference.cumulated.intra,
-            "threads = {threads}: cumulated intra"
-        );
-        assert_eq!(
-            streamed.cumulated.inter, reference.cumulated.inter,
-            "threads = {threads}: cumulated inter"
-        );
-        assert_eq!(
-            streamed.per_run_intra(),
-            reference.per_run_intra(),
-            "threads = {threads}: per-run intra"
-        );
-        assert_eq!(
-            streamed.per_run_inter(),
-            reference.per_run_inter(),
-            "threads = {threads}: per-run inter"
-        );
-    }
-}
-
-#[test]
 fn scratch_backed_fold_equals_materialize_for_multi_pulse_batches() {
-    use hexclock::analysis::reduce::StabilizationReducer;
-    use hexclock::analysis::skew::exclusion_mask;
     use hexclock::analysis::stabilization::{stabilization_pulse, Criterion};
 
     // Multi-pulse + Arbitrary init + Byzantine faults exercises every
-    // scratch-reuse path at once: trace buffers, view matrices
-    // (assign_pulses_into), and the per-worker SimScratch of fold.
+    // scratch-reuse path at once: trace buffers and view matrices
+    // (assign_pulses_into) on the materialized side, and the per-worker
+    // SimScratch and its binner on the observed fold.
     let base = RunSpec::grid(10, 6)
         .runs(12)
         .scenario(Scenario::Zero)
@@ -164,7 +133,7 @@ fn scratch_backed_fold_equals_materialize_for_multi_pulse_batches() {
         let streamed = base
             .clone()
             .threads(threads)
-            .fold(&StabilizationReducer::new(&grid, &criteria, 0));
+            .fold_observed(&ObservedStabilizationReducer::new(&grid, &criteria, 0));
         assert_eq!(streamed, expected, "threads = {threads}");
         // The materialized batch is also thread-count independent.
         assert_eq!(
@@ -185,8 +154,8 @@ fn run_batch_fold_primitive_matches_sequential_fold() {
         fn empty(&self) -> Self::Acc {
             Vec::new()
         }
-        fn fold(&self, acc: &mut Self::Acc, run: usize, item: u64) {
-            acc.push((run, item));
+        fn fold_ref(&self, acc: &mut Self::Acc, run: usize, item: &u64) {
+            acc.push((run, *item));
         }
         fn merge(&self, mut left: Self::Acc, right: Self::Acc) -> Self::Acc {
             left.extend(right);

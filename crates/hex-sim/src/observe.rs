@@ -42,6 +42,8 @@
 use hex_core::{HexGrid, NodeId, TriggerCause};
 use hex_des::{Duration, Schedule, Time};
 
+use crate::trace::{column_base, nearest_pulse};
+
 pub(crate) mod sealed {
     /// Only observers covered by the observer-equivalence walls may
     /// implement [`super::RunObserver`].
@@ -131,20 +133,14 @@ impl PulseBinner {
             return;
         }
 
-        // Per-pulse fallback base times for mute sources, exactly as
-        // `assign_pulses` derives them.
+        // Per-column expected layer-0 times, exactly as `assign_pulses`
+        // derives them.
         let w = self.width as usize;
         self.colbase.clear();
         self.colbase.reserve(w * self.pulses);
         for col in 0..w {
-            let col_sched = schedule.source(col);
-            for k in 0..self.pulses {
-                let b = col_sched
-                    .get(k)
-                    .copied()
-                    .unwrap_or_else(|| schedule.t_min(k).unwrap_or(Time::ZERO));
-                self.colbase.push(b);
-            }
+            self.colbase
+                .extend((0..self.pulses).map(|k| column_base(schedule, col, k)));
         }
 
         // Per-node binning tables (shape-dependent only, but rebuilt per
@@ -229,31 +225,8 @@ impl PulseBinner {
             0
         } else {
             let ix = node as usize;
-            // `expected[k] = colbase[k] + shift`; searching the shifted
-            // time against the raw column bases is the identical integer
-            // comparison sequence, so the chosen pulse matches
-            // `assign_pulses`' `expected.binary_search(&time)` bit for
-            // bit (including the nearest-neighbor tie-break).
-            let adj = at - self.node_shift[ix];
             let base = &self.colbase[self.node_col[ix] as usize * self.pulses..][..self.pulses];
-            match base.binary_search(&adj) {
-                Ok(k) => k,
-                Err(ins) => {
-                    if ins == 0 {
-                        0
-                    } else if ins >= self.pulses {
-                        self.pulses - 1
-                    } else {
-                        let before = adj - base[ins - 1];
-                        let after = base[ins] - adj;
-                        if before.abs() <= after.abs() {
-                            ins - 1
-                        } else {
-                            ins
-                        }
-                    }
-                }
-            }
+            nearest_pulse(base, at - self.node_shift[ix])
         };
         let slot = &mut self.slots[node as usize * self.pulses + k];
         if slot.is_none() {

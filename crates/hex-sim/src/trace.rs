@@ -204,6 +204,36 @@ pub(crate) fn ensure_views(views: &mut Vec<PulseView>, pulses: usize) {
     }
 }
 
+/// The layer-0 time of pulse `k` in column `col`: the column's own source
+/// entry, or for a mute source the pulse's earliest source time (zero if
+/// no source has pulse `k`).
+pub(crate) fn column_base(schedule: &Schedule, col: usize, k: usize) -> Time {
+    schedule
+        .source(col)
+        .get(k)
+        .copied()
+        .unwrap_or_else(|| schedule.t_min(k).unwrap_or(Time::ZERO))
+}
+
+/// The index of the entry of `base` (ascending) nearest to `t`: ties go to
+/// the earlier pulse, and times outside the range clamp to the first or
+/// last entry. The one nearest-expected-pulse rule of [`assign_pulses`]
+/// and the streaming [`PulseBinner`](crate::observe::PulseBinner).
+#[inline]
+pub(crate) fn nearest_pulse(base: &[Time], t: Time) -> usize {
+    match base.binary_search(&t) {
+        Ok(k) | Err(k @ 0) => k,
+        Err(ins) if ins >= base.len() => base.len() - 1,
+        Err(ins) => {
+            if t - base[ins - 1] <= base[ins] - t {
+                ins - 1
+            } else {
+                ins
+            }
+        }
+    }
+}
+
 /// Bin the firings of a multi-pulse run into per-pulse views.
 ///
 /// Each node's expected triggering time for pulse `k` is its column's
@@ -242,41 +272,18 @@ pub fn assign_pulses_into(
         v.reshape(l, w);
     }
 
-    // Per-pulse fallback base times for mute sources.
-    let base: Vec<Time> = (0..pulses)
-        .map(|k| schedule.t_min(k).unwrap_or(Time::ZERO))
-        .collect();
-
-    for layer in 0..=l {
-        for col in 0..w {
+    // A node's expected time of pulse `k` is its column's base plus
+    // `layer · d_mid`, so each firing shifted back by `layer · d_mid` is
+    // searched against the column base.
+    let mut base = Vec::with_capacity(pulses);
+    for col in 0..w {
+        base.clear();
+        base.extend((0..pulses).map(|k| column_base(schedule, col as usize, k)));
+        for layer in 0..=l {
             let n = grid.node(layer, col as i64);
-            let col_sched = schedule.source(col as usize);
-            let expected: Vec<Time> = (0..pulses)
-                .map(|k| {
-                    let b = col_sched.get(k).copied().unwrap_or(base[k]);
-                    b + d_mid.times(layer as i64)
-                })
-                .collect();
+            let shift = d_mid.times(layer as i64);
             for &(time, cause) in &trace.fires[n as usize] {
-                // Nearest expected pulse (expected is sorted).
-                let k = match expected.binary_search(&time) {
-                    Ok(k) => k,
-                    Err(ins) => {
-                        if ins == 0 {
-                            0
-                        } else if ins >= pulses {
-                            pulses - 1
-                        } else {
-                            let before = time - expected[ins - 1];
-                            let after = expected[ins] - time;
-                            if before.abs() <= after.abs() {
-                                ins - 1
-                            } else {
-                                ins
-                            }
-                        }
-                    }
-                };
+                let k = nearest_pulse(&base, time - shift);
                 let slot = &mut views[k].t[layer as usize][col as usize];
                 if slot.is_none() {
                     *slot = Some(time);
@@ -367,6 +374,20 @@ mod tests {
         let views = assign_pulses(&grid, &trace, &sched, hex_core::DelayRange::paper().mid());
         // The final pulse must be complete (stabilization well before it).
         assert!(views.last().unwrap().complete_except(&grid, &[]));
+    }
+
+    /// The nearest-pulse rule both binning paths share: exact hits, the
+    /// nearest entry with ties going to the earlier pulse, and clamping
+    /// outside the range.
+    #[test]
+    fn nearest_pulse_breaks_ties_early_and_clamps() {
+        let base = [Time::from_ps(100), Time::from_ps(200), Time::from_ps(400)];
+        let at = |ps| nearest_pulse(&base, Time::from_ps(ps));
+        assert_eq!(at(200), 1);
+        assert_eq!((at(149), at(150), at(151)), (0, 0, 1));
+        assert_eq!((at(299), at(300), at(301)), (1, 1, 2));
+        assert_eq!((at(-5), at(100), at(900)), (0, 0, 2));
+        assert_eq!(nearest_pulse(&base[..1], Time::from_ps(900)), 0);
     }
 
     #[test]

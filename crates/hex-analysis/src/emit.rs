@@ -2,11 +2,10 @@
 //!
 //! Every figure/table binary prints human-oriented text; external plotting
 //! wants structured data next to it. Instead of each binary hand-rolling
-//! an `if std::env::var("HEX_CSV")` block, drivers build [`Table`]s and
-//! hand them to an [`Emitter`] configured from the environment:
+//! its own output switch, drivers build [`Table`]s and hand them to an
+//! [`Emitter`] configured from the environment:
 //!
-//! * `HEX_EMIT=csv` — emit CSV blocks (`HEX_CSV` being set is honored as a
-//!   legacy alias);
+//! * `HEX_EMIT=csv` — emit CSV blocks;
 //! * `HEX_EMIT=json` — emit one JSON object per table;
 //! * unset / `HEX_EMIT=off` — emit nothing.
 //!
@@ -239,15 +238,14 @@ pub struct Emitter {
 }
 
 impl Emitter {
-    /// Configure from `HEX_EMIT` (`csv` / `json` / `off`); a set `HEX_CSV`
-    /// is honored as a legacy alias for `HEX_EMIT=csv`.
+    /// Configure from `HEX_EMIT` (`csv` / `json` / `off`; unset emits
+    /// nothing).
     pub fn from_env() -> Emitter {
         match hex_sim::knobs::raw("HEX_EMIT").as_deref() {
             Some("csv") => Emitter::csv(),
             Some("json") => Emitter::json(),
             Some("off") | Some("") => Emitter::disabled(),
             Some(other) => panic!("HEX_EMIT must be csv|json|off, got {other:?}"),
-            None if hex_sim::knobs::is_set("HEX_CSV") => Emitter::csv(),
             None => Emitter::disabled(),
         }
     }

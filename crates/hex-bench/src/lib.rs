@@ -16,8 +16,7 @@
 //! * `HEX_RUNS` — runs per configuration (default 250, the paper's count);
 //! * `HEX_SEED` — base seed (default 42);
 //! * `HEX_THREADS` — worker threads (default: available parallelism);
-//! * `HEX_EMIT` — `csv`/`json` machine-readable output next to the text
-//!   (legacy alias: setting `HEX_CSV` selects CSV).
+//! * `HEX_EMIT` — `csv`/`json` machine-readable output next to the text.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -29,7 +29,6 @@ pub const KNOWN: &[(&str, &str)] = &[
     ("HEX_SEED", "base-seed override for RunSpec sweeps"),
     ("HEX_THREADS", "worker-thread-count override for batch runs"),
     ("HEX_EMIT", "table output format: csv | json | off"),
-    ("HEX_CSV", "legacy alias for HEX_EMIT=csv (presence only)"),
     (
         "HEX_SERVE_ADDR",
         "hexd listen address: `unix:<path>` / a socket path / `host:port`",
@@ -107,12 +106,12 @@ mod tests {
 
     #[test]
     fn set_knob_parses() {
-        // HEX_CSV is only read by hex-analysis (a different test
+        // HEX_EMIT is only read by hex-analysis (a different test
         // process), so the brief mutation cannot race a reader here.
-        std::env::set_var("HEX_CSV", "17");
-        assert_eq!(parsed::<usize>("HEX_CSV", "a number"), Some(17));
-        assert!(is_set("HEX_CSV"));
-        std::env::remove_var("HEX_CSV");
+        std::env::set_var("HEX_EMIT", "17");
+        assert_eq!(parsed::<usize>("HEX_EMIT", "a number"), Some(17));
+        assert!(is_set("HEX_EMIT"));
+        std::env::remove_var("HEX_EMIT");
     }
 
     #[test]

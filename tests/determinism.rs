@@ -386,9 +386,9 @@ fn default_path_matches_golden_pins() {
 /// Golden pins of the analysis layer: the Tables 1/2 summary table and the
 /// Figs. 15/16 box-plot CSV of 16-run batches, compared with committed
 /// values, so a drift of the skew fold or the order statistics fails here
-/// even when the streaming and materialized paths drift together. Each
-/// row pins `fnv1a_64` of `skew_summary_table(..).to_json()` and of the
-/// `sweep_csv` renderings of the per-run intra and inter summaries.
+/// even when the observed fold and the per-view reference drift together.
+/// Each row pins `fnv1a_64` of `skew_summary_table(..).to_json()` and of
+/// the `sweep_csv` renderings of the per-run intra and inter summaries.
 /// A deliberate change of analysis output is re-pinned by hand from the
 /// observed rows the failure message prints.
 #[test]

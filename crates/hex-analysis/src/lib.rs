@@ -51,7 +51,6 @@ pub mod emit;
 pub mod histogram;
 pub mod layers;
 pub mod reduce;
-pub mod report;
 pub mod skew;
 pub mod stabilization;
 pub mod stats;

@@ -311,9 +311,8 @@ impl Reducer<PulseBinner> for ObservedStabilizationReducer<'_> {
 /// A [`Reducer`] estimating, per run, the re-stabilization of every
 /// scripted disturbance of a dynamic fault campaign — straight from the
 /// worker's [`PulseBinner`], so a 250-run campaign sweep runs trace-free
-/// at batch scale. The accumulator is run-major ([run][disturbance]), in
-/// run order; feed it to
-/// [`summarize_campaign`](crate::stabilization::summarize_campaign).
+/// at batch scale. The accumulator is run-major (`[run][disturbance]`),
+/// in run order; feed it to [`summarize_campaign`].
 #[derive(Debug)]
 pub struct ObservedRestabilizationReducer<'a> {
     grid: &'a HexGrid,

@@ -1,7 +1,8 @@
 //! # hex-bench — experiment drivers for every table and figure
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper's
-//! evaluation (see DESIGN.md for the full index). Since the `RunSpec`
+//! evaluation; its first doc line names which, and the README section
+//! "Reproducing the paper" shows how to run them. Since the `RunSpec`
 //! redesign the experiment vocabulary itself — grid shape, scenarios, fault
 //! regimes, Table-3 timing, seeding — lives in [`hex_sim::spec`], and the
 //! reductions (skews, stabilization estimates) in [`hex_analysis::reduce`];

@@ -2,8 +2,9 @@
 //!
 //! The HEX grid needs "synchronized and well-separated" pulses at layer 0
 //! (Section 2). The paper's evaluation drives layer 0 with four scripted
-//! skew scenarios (Section 4.2) and delegates real fault-tolerant pulse
-//! *generation* to DARTS / FATAL⁺ [30, 31]. This crate provides both sides:
+//! skew scenarios (Section 4.2) and only cites DARTS / FATAL⁺ [30, 31] for
+//! fault-tolerant pulse *generation*. This crate provides the scenarios,
+//! the pulse trains built from them, and one small generator:
 //!
 //! * [`scenario`] — the scripted scenarios (i)–(iv): layer-0 triggering
 //!   times all-zero, uniform in `[0, d-]`, uniform in `[0, d+]`, and the
@@ -13,11 +14,7 @@
 //! * [`pulser`] — a self-contained **f-resilient threshold pulser**
 //!   (Srikanth–Toueg-style init/echo thresholds on a fully connected clique,
 //!   `n ≥ 3f+1`): a simplified stand-in for FATAL⁺ demonstrating an actual
-//!   synchronized multi-source layer 0, end to end;
-//! * [`ptp`] — an IEEE-1588-style master–slave offset measurement (the
-//!   network-scale clock-tree analogue the introduction names): per-hop
-//!   error `ε/2`, accumulating as `Θ(depth·ε)` along the chain — the
-//!   contrast to HEX's depth-independent neighbor skew.
+//!   synchronized multi-source layer 0, end to end.
 //!
 //! ```
 //! use hex_clock::{PulseTrain, Scenario};
@@ -46,13 +43,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod darts;
 pub mod multipulse;
-pub mod ptp;
 pub mod pulser;
 pub mod scenario;
 
-pub use darts::{run_darts, DartsConfig, DartsTrace};
 pub use multipulse::PulseTrain;
 pub use pulser::{ThresholdPulser, ThresholdPulserConfig};
 pub use scenario::Scenario;

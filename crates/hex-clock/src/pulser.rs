@@ -3,8 +3,8 @@
 //! HEX assumes layer-0 nodes "execute a pulse generation algorithm like the
 //! one of [30, 31]" (DARTS / FATAL⁺) producing synchronized, well-separated
 //! pulses on a fully connected clique despite Byzantine members. FATAL⁺ is a
-//! paper-sized system of its own; as documented in DESIGN.md we substitute a
-//! classic **Srikanth–Toueg-style threshold pulser**, which provides the same
+//! paper-sized system of its own; this module substitutes a classic
+//! **Srikanth–Toueg-style threshold pulser**, which provides the same
 //! interface guarantee (synchronized pulses with skew ≤ 2·d⁺, separation ≈
 //! the round period) under the same resilience bound `n ≥ 3f + 1`:
 //!

@@ -82,11 +82,6 @@ impl FaultPlan {
         self.node_faults.len()
     }
 
-    /// The fault of `node`, if any.
-    pub fn node_fault(&self, node: NodeId) -> Option<NodeFault> {
-        self.node_faults.get(&node).copied()
-    }
-
     /// True iff `node` is declared faulty.
     pub fn is_faulty(&self, node: NodeId) -> bool {
         self.node_faults.contains_key(&node)

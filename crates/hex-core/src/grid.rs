@@ -164,12 +164,6 @@ impl HexGrid {
         Coord::new(n / self.width, n % self.width)
     }
 
-    /// All node ids of one layer, in column order.
-    pub fn layer_nodes(&self, layer: u32) -> impl Iterator<Item = NodeId> + '_ {
-        let base = layer * self.width;
-        base..base + self.width
-    }
-
     /// The in-neighbor id of `(layer, col)` on a given HEX port.
     pub fn hex_in_neighbor(&self, layer: u32, col: u32, port: u8) -> NodeId {
         assert!(layer > 0, "layer-0 nodes have no in-neighbors");

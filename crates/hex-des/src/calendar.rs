@@ -12,7 +12,7 @@
 //! amortized.
 //!
 //! The deterministic contract is identical to [`crate::EventQueue`], and
-//! property-tested against it (see also [`crate::FutureEventList`]):
+//! property-tested against it, batch drains included:
 //!
 //! * pops are ordered by `(time, push sequence)` — FIFO on ties,
 //! * scheduling into the past panics,
@@ -98,8 +98,8 @@ pub struct CalendarQueue<E> {
 
 impl<E> CalendarQueue<E> {
     /// A queue with explicit ring geometry: `buckets` rings of `width`
-    /// picoseconds each. Any geometry is *correct*; [`for_profile`]
-    /// (`CalendarQueue::for_profile`) picks a fast one.
+    /// picoseconds each. Any geometry is *correct*;
+    /// [`for_profile`](CalendarQueue::for_profile) picks a fast one.
     ///
     /// # Panics
     ///
@@ -727,6 +727,94 @@ mod tests {
         }
     }
 
+    /// Drive a fresh `cal` through an interleaved push/batch hold
+    /// workload, mirroring every push into a binary heap. Each
+    /// [`CalendarQueue::drain_bucket`] batch is checked against scalar
+    /// pops on a cloned twin (same events in the same order, same
+    /// `now`/`len`/`popped`), against the heap's next pops, and for
+    /// maximality (the twin's next pop lies beyond the batch limit).
+    /// Returns the heap, holding whatever the calendar left pending.
+    fn hold_batched(
+        cal: &mut CalendarQueue<usize>,
+        span: Duration,
+        cap: Time,
+        deltas: &[i64],
+    ) -> EventQueue<usize> {
+        let mut heap = EventQueue::new();
+        for i in 0..8 {
+            cal.push(Time::from_ps(i as i64), i);
+            heap.push(Time::from_ps(i as i64), i);
+        }
+        let mut buf = Vec::new();
+        let mut deltas = deltas.iter().copied();
+        loop {
+            let mut twin = cal.clone();
+            let n = cal.drain_bucket(span, cap, &mut buf);
+            for &(at, p) in &buf {
+                let e = twin.pop().expect("scalar twin has the event");
+                assert_eq!((e.at, e.payload), (at, p), "batch vs scalar order");
+                let e = heap.pop().expect("heap has the event");
+                assert_eq!((e.at, e.payload), (at, p), "batch vs heap order");
+            }
+            assert_eq!(
+                (cal.now(), cal.len(), cal.popped()),
+                (twin.now(), twin.len(), twin.popped())
+            );
+            let next = twin.pop().map(|e| e.at);
+            if n == 0 {
+                // Empty, or the earliest event lies beyond `cap`.
+                assert!(
+                    next.map_or(true, |t| t > cap),
+                    "zero batch must mean a beyond-cap head"
+                );
+                break;
+            }
+            // Maximality: whatever pops next exceeds the batch limit.
+            let limit = cap.min(buf[0].0.saturating_add(span));
+            if let Some(t) = next {
+                assert!(t > limit, "batch stopped early: {t:?} <= {limit:?}");
+            }
+            for (at, p) in buf.drain(..) {
+                // Hold model: reschedule each drained event once until
+                // the delta stream runs dry. Increments stay at or above
+                // `span` — the batching contract: a batch is only safe
+                // when nothing processed inside it can schedule back
+                // into it (`at + span >= first + span >= last = now`).
+                if let Some(d) = deltas.next() {
+                    let t = at + span + Duration::from_ps(d);
+                    cal.push(t, p);
+                    heap.push(t, p);
+                }
+            }
+        }
+        assert!(cal.is_empty() || cal.now() <= cap);
+        heap
+    }
+
+    #[test]
+    fn batch_drain_matches_scalar_pops_across_spans() {
+        let deltas: Vec<i64> = (0..200).map(|i| (i * 37) % 90).collect();
+        for span in [0i64, 1, 16, 90, 10_000] {
+            let mut cal = CalendarQueue::for_profile(Duration::from_ps(90), 8);
+            let heap = hold_batched(&mut cal, Duration::from_ps(span), Time::MAX, &deltas);
+            // Everything initially pushed or rescheduled was drained.
+            assert!(cal.is_empty() && heap.is_empty());
+            assert_eq!(cal.popped(), 8 + deltas.len() as u64);
+        }
+    }
+
+    #[test]
+    fn beyond_cap_heads_stay_pending() {
+        let mut cal = CalendarQueue::for_profile(Duration::from_ps(50), 8);
+        let cap = Time::from_ps(40);
+        let heap = hold_batched(&mut cal, Duration::from_ps(25), cap, &[50, 50, 50]);
+        // Something was rescheduled past the cap and must still pend,
+        // in the heap's order.
+        assert!(!cal.is_empty());
+        assert_eq!(heap.len(), cal.len());
+        assert_drains_identically(cal, heap);
+    }
+
     proptest! {
         // Shared CI case budget: pin 32 cases (= compat/proptest DEFAULT_CASES).
         #![proptest_config(ProptestConfig::with_cases(32))]
@@ -769,6 +857,8 @@ mod tests {
                 cal.push(a.at + Duration::from_ps(d), a.payload);
                 bin.push(b.at + Duration::from_ps(d), b.payload);
             }
+            prop_assert_eq!(cal.popped(), deltas.len() as u64);
+            prop_assert_eq!(cal.popped(), bin.popped());
             assert_drains_identically(cal, bin);
         }
 
@@ -789,6 +879,19 @@ mod tests {
                 cal.push(a.at + Duration::from_ps(d), i + 1);
                 bin.push(b.at + Duration::from_ps(d), i + 1);
             }
+        }
+
+        /// Batched draining under random spans and hold interleavings:
+        /// `hold_batched` checks each batch against a cloned twin's
+        /// scalar pops and against the binary heap.
+        #[test]
+        fn prop_calendar_batches_like_the_heap(
+            deltas in prop::collection::vec(0i64..120, 1..150),
+            span in 0i64..200,
+        ) {
+            let mut cal = CalendarQueue::for_profile(Duration::from_ps(120), 8);
+            let heap = hold_batched(&mut cal, Duration::from_ps(span), Time::MAX, &deltas);
+            prop_assert!(cal.is_empty() && heap.is_empty());
         }
     }
 }

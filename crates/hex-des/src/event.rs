@@ -181,11 +181,6 @@ impl<E> EventQueue<E> {
         Some(ev)
     }
 
-    /// The time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Current simulated time (time of the last popped event).
     pub fn now(&self) -> Time {
         self.now

@@ -14,9 +14,7 @@
 //!   FIFO tie-breaking for simultaneous events;
 //! * [`CalendarQueue`] — a bounded-horizon calendar/bucket-ring queue with
 //!   O(1) amortized push/pop on bounded-increment workloads, and the queue
-//!   the HEX engine runs on;
-//! * [`FutureEventList`] — the sealed trait over both queues, under which
-//!   the calendar is property-tested against the binary heap;
+//!   the HEX engine runs on, property-tested against [`EventQueue`];
 //! * [`SimRng`] — seedable random sampling helpers (uniform delay intervals);
 //! * [`Schedule`] — absolute-time schedules used by pulse sources.
 //!
@@ -35,14 +33,12 @@
 
 pub mod calendar;
 pub mod event;
-pub mod fel;
 pub mod rng;
 pub mod schedule;
 pub mod time;
 
 pub use calendar::CalendarQueue;
 pub use event::{EventQueue, QueuedEvent};
-pub use fel::FutureEventList;
 pub use rng::SimRng;
 pub use schedule::Schedule;
 pub use time::{Duration, Time};

@@ -34,8 +34,7 @@ pub const EMIT_MODULE: &str = "crates/hex-analysis/src/emit.rs";
 
 /// Sealed traits and the modules allowed to implement them:
 /// `(trait name, allowed files, tests may implement)`.
-pub const SEALED_TRAITS: [(&str, &[&str], bool); 3] = [
-    ("FutureEventList", &["crates/hex-des/src/fel.rs"], false),
+pub const SEALED_TRAITS: [(&str, &[&str], bool); 2] = [
     ("RunObserver", &["crates/hex-sim/src/observe.rs"], false),
     // `Reducer` is a public extension point: production impls live in
     // the two homes, but tests/benches/examples fold ad hoc.
@@ -544,7 +543,7 @@ fn rule_sealed_impl(ctx: &FileCtx, sig: &[&Tok], in_test: &[bool], findings: &mu
             continue;
         }
         // Skip the generic parameter list, if any (its bounds may name
-        // sealed traits legitimately: `fn f<Q: FutureEventList<E>>`).
+        // sealed traits legitimately: `impl<O: RunObserver> Holder<O>`).
         let mut j = i + 1;
         if sig.get(j).is_some_and(|t| t.is_punct("<")) {
             let mut depth = 0i32;
@@ -783,23 +782,23 @@ mod tests {
 
     #[test]
     fn sealed_impl_scoping() {
-        let src = "impl<E> FutureEventList<E> for MyQueue<E> { }\n";
+        let src = "impl RunObserver for MyObserver { }\n";
         assert_eq!(
             rules_of(&lint_at("crates/hex-des/src/other.rs", src)),
             vec![Rule::SealedImpl]
         );
-        assert!(lint_at("crates/hex-des/src/fel.rs", src).is_empty());
-        // The SoA node-state module names no event list: an impl there is
-        // outside the trait's home like anywhere else.
+        assert!(lint_at("crates/hex-sim/src/observe.rs", src).is_empty());
+        // The SoA node-state module sits beside the observers in hex-sim
+        // but is not the trait's home: an impl there is a finding too.
         assert_eq!(
             rules_of(&lint_at("crates/hex-sim/src/soa.rs", src)),
             vec![Rule::SealedImpl]
         );
         // Generic *bounds* naming a sealed trait are not impls of it.
-        let bound = "impl<Q: FutureEventList<Ev>> Holder<Q> { }\n";
+        let bound = "impl<O: RunObserver> Holder<O> { }\n";
         assert!(lint_at("crates/hex-sim/src/engine.rs", bound).is_empty());
         // `impl Trait` in argument position is not an impl item.
-        let arg = "fn run(q: &mut impl FutureEventList<Ev>) { }\n";
+        let arg = "fn run(o: &mut impl RunObserver) { }\n";
         assert!(lint_at("crates/hex-sim/src/engine.rs", arg).is_empty());
     }
 

@@ -55,7 +55,7 @@ const CASES: [(Rule, &str, &str, &str, usize); 7] = [
         "bad_sealed_impl.rs",
         "allowed_sealed_impl.rs",
         "crates/hex-des/src/fixture.rs",
-        3,
+        2,
     ),
     (
         Rule::ForbidUnsafe,

@@ -1,14 +1,5 @@
 // Fixture: the same impls, suppressed.
 
-pub struct RogueQueue<E> {
-    events: Vec<E>,
-}
-
-// hexlint: allow(sealed-impl, reason = "fixture: demonstrating the pragma")
-impl<E> FutureEventList<E> for RogueQueue<E> {
-    fn push(&mut self, _at: Time, _payload: E) {}
-}
-
 pub struct RogueObserver;
 
 impl RunObserver for RogueObserver { // hexlint: allow(sealed-impl, reason = "fixture")

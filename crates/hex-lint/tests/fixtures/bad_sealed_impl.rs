@@ -2,14 +2,6 @@
 // (linted under the virtual path crates/hex-des/src/fixture.rs).
 // Never compiled.
 
-pub struct RogueQueue<E> {
-    events: Vec<E>,
-}
-
-impl<E> FutureEventList<E> for RogueQueue<E> {
-    fn push(&mut self, _at: Time, _payload: E) {}
-}
-
 pub struct RogueObserver;
 
 impl RunObserver for RogueObserver {

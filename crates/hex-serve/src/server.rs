@@ -7,7 +7,7 @@
 //! queued job hands the decoded spec to its worker. The query's hash is
 //! then checked against, in order: the on-disk cache (hit → replay,
 //! `cached=1`), the in-flight map (another connection is already
-//! computing the same hash → wait on its [`Flight`] and replay the same
+//! computing the same hash → wait on its `Flight` and replay the same
 //! bytes, `cached=1`), and finally the bounded admission queue (full →
 //! `busy` backpressure; otherwise a new flight is registered and exactly
 //! one worker computes it, `cached=0` for the submitting connection).

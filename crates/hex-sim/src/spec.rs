@@ -7,7 +7,7 @@
 //! count and separation, the delay model, and the per-run seed policy.
 //! Batches execute on the parallel runner of [`crate::batch`], either
 //! materialized ([`RunSpec::run_batch`]) or streamed through a
-//! [`Reducer`](crate::batch::Reducer) ([`RunSpec::fold_observed`]) so that
+//! [`Reducer`] ([`RunSpec::fold_observed`]) so that
 //! per-run map+reduce never holds a whole 250-run sweep in memory.
 //!
 //! ```

@@ -117,9 +117,7 @@ pub mod prelude {
         DelayModel, DelayRange, FaultEvent, FaultPlan, FaultScript, FaultTransition, HexGrid,
         LinkBehavior, NodeFault, RejoinState, Timing, D_MINUS, D_PLUS, EPSILON,
     };
-    pub use hex_des::{
-        CalendarQueue, Duration, EventQueue, FutureEventList, Schedule, SimRng, Time,
-    };
+    pub use hex_des::{CalendarQueue, Duration, EventQueue, Schedule, SimRng, Time};
     pub use hex_sim::{
         assign_pulses, run_batch, run_batch_fold, run_batch_fold_with, run_batch_with, simulate,
         simulate_into, simulate_observed_into, FaultRegime, InitState, PulseBinner, PulseView,

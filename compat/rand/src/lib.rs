@@ -1,5 +1,5 @@
-//! Offline stand-in for the subset of [`rand`](https://crates.io/crates/rand)
-//! 0.8 that this workspace uses.
+//! The workspace's random generator, behind the subset of the
+//! [`rand`](https://crates.io/crates/rand) 0.8 API that this workspace uses.
 //!
 //! The simulation only needs a deterministic, seedable, decent-quality
 //! generator — not the full `rand` ecosystem. The core is xoshiro256**
@@ -7,10 +7,12 @@
 //! `rand`'s `SeedableRng::seed_from_u64` recipe, so streams are stable,
 //! portable, and pass the uniformity sanity checks in `hex-des::rng`.
 //!
-//! **This is not the real `rand` crate.** It exists because the build
-//! container has no registry access. The API mirrors `rand` 0.8 closely
-//! enough that replacing the `path` dependency with the crates.io release
-//! requires no source changes in this workspace.
+//! **This is not the real `rand` crate, and it is not interchangeable with
+//! it.** The crates.io release compiles in its place, but its `StdRng` is
+//! ChaCha12, so every stream changes, and with them every committed output
+//! of the workspace: the golden pins, `CAMPAIGN.md`, the benchmark digests
+//! and the Table 1/2 numbers. `hex-des::rng` pins the first draws of seed
+//! 42 (see the README's "Offline dependency shims" section).
 
 #![forbid(unsafe_code)]
 
@@ -162,8 +164,9 @@ pub mod rngs {
 
     /// The workspace's standard generator: xoshiro256**.
     ///
-    /// (The real `rand::rngs::StdRng` is a ChaCha variant; only determinism
-    /// *per seed*, not cross-crate stream equality, is relied upon here.)
+    /// (The real `rand::rngs::StdRng` is a ChaCha variant. The workspace
+    /// relies on this exact stream, not only on determinism per seed: every
+    /// committed output was produced by it.)
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct StdRng {
         s: [u64; 4],

@@ -147,8 +147,8 @@ pub(crate) fn per_layer_max_intra_with(
         .collect()
 }
 
-/// The shared per-layer inter-max walk of [`per_layer_max_inter`] and the
-/// stabilization profiles.
+/// The per-layer maximum absolute inter-layer skew towards layer `ℓ−1`
+/// (the stabilization profiles' inter-layer walk).
 pub(crate) fn per_layer_max_inter_with(
     l: u32,
     w: u32,
@@ -182,19 +182,6 @@ pub fn per_layer_max_intra(
     excluded: &[bool],
 ) -> Vec<Option<Duration>> {
     per_layer_max_intra_with(
-        grid.length(),
-        grid.width(),
-        masked_view(grid, view, excluded),
-    )
-}
-
-/// Per-layer maximum absolute inter-layer skew towards layer `ℓ−1`.
-pub fn per_layer_max_inter(
-    grid: &HexGrid,
-    view: &PulseView,
-    excluded: &[bool],
-) -> Vec<Option<Duration>> {
-    per_layer_max_inter_with(
         grid.length(),
         grid.width(),
         masked_view(grid, view, excluded),
@@ -293,11 +280,8 @@ mod tests {
         let (grid, view) = zero_run(7, 5, 5);
         let mask = exclusion_mask(&grid, &[], 0);
         let intra = per_layer_max_intra(&grid, &view, &mask);
-        let inter = per_layer_max_inter(&grid, &view, &mask);
         assert_eq!(intra.len(), 7);
-        assert_eq!(inter.len(), 7);
         assert!(intra.iter().all(|o| o.is_some()));
-        assert!(inter.iter().all(|o| o.is_some()));
     }
 
     #[test]

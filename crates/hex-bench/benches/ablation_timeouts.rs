@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hex_bench::{RunSpec, TimingPolicy};
 use hex_core::{DelayRange, Timing};
 use hex_des::Duration;
-use hex_sim::InitState;
+use hex_sim::{InitState, SimScratch};
 
 fn bench_timeouts(c: &mut Criterion) {
     let mut g = c.benchmark_group("timeout_ablation");
@@ -32,7 +32,7 @@ fn bench_timeouts(c: &mut Criterion) {
             let mut run = 0usize;
             b.iter(|| {
                 run += 1;
-                spec.run_one_with(&grid, run).views.len()
+                spec.run_one(&grid, &mut SimScratch::new(), run).views.len()
             })
         });
     }

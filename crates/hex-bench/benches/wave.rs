@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hex_analysis::skew::{collect_skews, exclusion_mask};
 use hex_bench::RunSpec;
 use hex_clock::Scenario;
+use hex_sim::SimScratch;
 
 fn bench_scenarios(c: &mut Criterion) {
     let mut g = c.benchmark_group("wave_pipeline");
@@ -22,7 +23,7 @@ fn bench_scenarios(c: &mut Criterion) {
                 let mut run = 0usize;
                 b.iter(|| {
                     run += 1;
-                    let rv = spec.run_one_with(&grid, run);
+                    let rv = spec.run_one(&grid, &mut SimScratch::new(), run);
                     collect_skews(&grid, rv.view(), &mask).intra.len()
                 })
             },

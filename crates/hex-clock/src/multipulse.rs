@@ -22,11 +22,6 @@ pub struct PulseTrain {
     pub separation: Duration,
     /// Base time of the first pulse.
     pub start: Time,
-    /// If true, scenario offsets are re-drawn for every pulse; if false, the
-    /// offsets of the first pulse are reused (a fixed source skew pattern,
-    /// which is what a real layer-0 clock generation scheme with a static
-    /// topology produces).
-    pub resample_offsets: bool,
     /// Minimum link delay `d-` (scenario parameter).
     pub d_minus: Duration,
     /// Maximum link delay `d+` (scenario parameter).
@@ -41,16 +36,9 @@ impl PulseTrain {
             pulses,
             separation,
             start: Time::ZERO,
-            resample_offsets: false,
             d_minus: hex_core::D_MINUS,
             d_plus: hex_core::D_PLUS,
         }
-    }
-
-    /// Re-draw scenario offsets for each pulse.
-    pub fn resampled(mut self) -> Self {
-        self.resample_offsets = true;
-        self
     }
 
     /// The period between pulse base times: `S + max_offset`, which
@@ -59,7 +47,10 @@ impl PulseTrain {
         self.separation + self.scenario.max_offset(w, self.d_minus, self.d_plus)
     }
 
-    /// Generate the schedule for `w` layer-0 sources.
+    /// Generate the schedule for `w` layer-0 sources. The offsets are
+    /// drawn once and reused for every pulse (a fixed source skew pattern,
+    /// which is what a real layer-0 clock generation scheme with a static
+    /// topology produces).
     ///
     /// # Panics
     ///
@@ -73,11 +64,8 @@ impl PulseTrain {
         );
         let period = self.period(w);
         let mut per_source: Vec<Vec<Time>> = vec![Vec::with_capacity(self.pulses); w as usize];
-        let mut offsets = self.scenario.offsets(w, self.d_minus, self.d_plus, rng);
+        let offsets = self.scenario.offsets(w, self.d_minus, self.d_plus, rng);
         for k in 0..self.pulses {
-            if k > 0 && self.resample_offsets {
-                offsets = self.scenario.offsets(w, self.d_minus, self.d_plus, rng);
-            }
             let base = self.start + period.times(k as i64);
             for (i, &off) in offsets.iter().enumerate() {
                 per_source[i].push(base + off);
@@ -100,7 +88,7 @@ mod tests {
     fn respects_separation() {
         let mut rng = SimRng::seed_from_u64(1);
         for sc in Scenario::ALL {
-            let train = PulseTrain::new(sc, 10, sep()).resampled();
+            let train = PulseTrain::new(sc, 10, sep());
             let s = train.generate(20, &mut rng);
             assert_eq!(s.sources(), 20);
             assert_eq!(s.pulses(), 10);
@@ -129,20 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn resampled_offsets_vary() {
-        let mut rng = SimRng::seed_from_u64(3);
-        let train = PulseTrain::new(Scenario::RandomDPlus, 4, sep()).resampled();
-        let s = train.generate(20, &mut rng);
-        let period = train.period(20);
-        // At least one source must see a non-constant inter-pulse gap.
-        let varies = (0..20).any(|i| {
-            let ts = s.source(i);
-            ts.windows(2).any(|w| w[1] - w[0] != period)
-        });
-        assert!(varies);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one pulse")]
     fn rejects_zero_pulses() {
         let mut rng = SimRng::seed_from_u64(4);
@@ -157,7 +131,7 @@ mod tests {
         fn prop_separation_honored(seed in any::<u64>(), w in 3u32..24, pulses in 2usize..8) {
             let mut rng = SimRng::seed_from_u64(seed);
             for sc in Scenario::ALL {
-                let train = PulseTrain::new(sc, pulses, sep()).resampled();
+                let train = PulseTrain::new(sc, pulses, sep());
                 let s = train.generate(w, &mut rng);
                 prop_assert!(s.min_separation().unwrap() >= sep());
             }

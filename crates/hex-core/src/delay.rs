@@ -200,23 +200,6 @@ impl DelayTableBuilder {
         self
     }
 
-    /// Override every link out of `src` towards `dst` (there is at most one
-    /// in HEX, but generic graphs may have parallel links).
-    pub fn set_between(
-        &mut self,
-        graph: &PulseGraph,
-        src: crate::graph::NodeId,
-        dst: crate::graph::NodeId,
-        delay: Duration,
-    ) -> &mut Self {
-        for &l in graph.out_links(src) {
-            if graph.link(l).dst == dst {
-                self.table[l as usize] = delay;
-            }
-        }
-        self
-    }
-
     /// Finish into a [`DelayModel::PerLinkFixed`].
     pub fn build(self) -> DelayModel {
         DelayModel::PerLinkFixed(self.table)
@@ -350,8 +333,14 @@ mod tests {
         let g = HexGrid::new(2, 4);
         let src = g.node(0, 0);
         let dst = g.node(1, 0); // (0,0) is lower-left of (1,0)
+        let link = *g
+            .graph()
+            .out_links(src)
+            .iter()
+            .find(|&&l| g.graph().link(l).dst == dst)
+            .expect("(0,0) feeds (1,0)");
         let mut b = DelayTableBuilder::new(g.graph(), D_PLUS);
-        b.set_between(g.graph(), src, dst, D_MINUS);
+        b.set(link, D_MINUS);
         let model = b.build();
         let mut rng = SimRng::seed_from_u64(4);
         let resolved = model.resolve(g.graph(), &mut rng);

@@ -291,11 +291,6 @@ impl FaultScript {
         self.transitions.is_empty()
     }
 
-    /// Time of the last transition, if any.
-    pub fn last_at(&self) -> Option<Time> {
-        self.transitions.last().map(|t| t.at)
-    }
-
     /// Distinct disturbance-onset times (each `Fail`/`LinkDown`), ascending —
     /// the anchor points of per-disturbance re-stabilization measurement.
     pub fn disturbance_times(&self) -> Vec<Time> {
@@ -513,7 +508,6 @@ mod tests {
         let at: Vec<i64> = s.transitions().iter().map(|t| t.at.ps()).collect();
         assert_eq!(at, vec![100, 300, 500]);
         assert_eq!(s.len(), 3);
-        assert_eq!(s.last_at(), Some(Time::from_ps(500)));
     }
 
     #[test]

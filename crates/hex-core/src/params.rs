@@ -91,16 +91,6 @@ pub struct Timing {
 }
 
 impl Timing {
-    /// Build a timing from the minimal values and a drift bound `ϑ`:
-    /// `T+ = ϑ·T-` for both timeouts.
-    pub fn with_drift(t_link_min: Duration, t_sleep_min: Duration, theta: f64) -> Self {
-        assert!(theta >= 1.0, "drift bound must be ≥ 1, got {theta}");
-        Timing {
-            link: DelayRange::new(t_link_min, t_link_min.scale(theta)),
-            sleep: DelayRange::new(t_sleep_min, t_sleep_min.scale(theta)),
-        }
-    }
-
     /// Paper Table 3, scenario (iii) row: `T-_link = 35.25 ns`,
     /// `T+_link = 37.01 ns`, `T-_sleep = 90.42 ns`, `T+_sleep = 94.94 ns`.
     pub fn paper_scenario_iii() -> Self {
@@ -168,14 +158,6 @@ mod tests {
         // ε just above d+/7.
         let r2 = DelayRange::new(Duration::from_ps(5_990), Duration::from_ps(7_000));
         assert!(!r2.satisfies_theorem1_constraint());
-    }
-
-    #[test]
-    fn with_drift_scales_upper_bounds() {
-        let t = Timing::with_drift(Duration::from_ps(1_000), Duration::from_ps(3_000), 1.05);
-        assert_eq!(t.link.lo.ps(), 1_000);
-        assert_eq!(t.link.hi.ps(), 1_050);
-        assert_eq!(t.sleep.hi.ps(), 3_150);
     }
 
     #[test]

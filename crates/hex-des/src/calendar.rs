@@ -426,14 +426,6 @@ impl<E> CalendarQueue<E> {
     pub fn popped(&self) -> u64 {
         self.popped
     }
-
-    /// Drop all pending events strictly later than `horizon`.
-    pub fn truncate_after(&mut self, horizon: Time) {
-        for b in &mut self.buckets {
-            b.retain(|s| s.at <= horizon);
-        }
-        self.len = self.buckets.iter().map(Vec::len).sum();
-    }
 }
 
 #[cfg(test)]
@@ -686,18 +678,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn truncate_after_drops_tail() {
-        let mut q = small();
-        for t in 0..10 {
-            q.push(Time::from_ps(t), t);
-        }
-        q.truncate_after(Time::from_ps(4));
-        assert_eq!(q.len(), 5);
-        let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -200,18 +200,6 @@ impl<E> EventQueue<E> {
     pub fn popped(&self) -> u64 {
         self.popped
     }
-
-    /// Drop all pending events strictly later than `horizon`.
-    ///
-    /// Used to cut off runs at a configured end time without draining the
-    /// heap one event at a time.
-    pub fn truncate_after(&mut self, horizon: Time) {
-        let kept: Vec<_> = std::mem::take(&mut self.heap)
-            .into_iter()
-            .filter(|e| e.at <= horizon)
-            .collect();
-        self.heap = kept.into();
-    }
 }
 
 #[cfg(test)]
@@ -258,18 +246,6 @@ mod tests {
         let e = q.pop().unwrap();
         q.push(e.at, "b");
         assert_eq!(q.pop().unwrap().payload, "b");
-    }
-
-    #[test]
-    fn truncate_after_drops_tail() {
-        let mut q = EventQueue::new();
-        for t in 0..10 {
-            q.push(Time::from_ps(t), t);
-        }
-        q.truncate_after(Time::from_ps(4));
-        assert_eq!(q.len(), 5);
-        let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

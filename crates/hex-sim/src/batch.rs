@@ -2,20 +2,22 @@
 //!
 //! The paper's statistics aggregate 250 independent simulation runs per
 //! configuration. Runs are pure functions of `(config, seed)`, so the batch
-//! is embarrassingly parallel: scoped worker threads (`std::thread::scope`)
-//! pull work from an atomic counter (work stealing) and results are
-//! reassembled in run-index order — the output is **independent of the
-//! number of worker threads**, preserving end-to-end determinism.
+//! is embarrassingly parallel. One scheduler, [`run_batch_fold_with`],
+//! runs every batch: scoped worker threads (`std::thread::scope`) steal
+//! contiguous chunks of run indices from an atomic counter, fold each
+//! chunk into its own accumulator on the worker that produced it, and the
+//! chunk accumulators merge in run-index order — the output is
+//! **independent of the number of worker threads**, preserving end-to-end
+//! determinism.
 //!
-//! Two entry points:
+//! Two conveniences sit on it:
 //!
-//! * [`run_batch`] materializes every result (`Vec<T>`, run-index order) —
-//!   right when downstream analysis needs all runs side by side;
-//! * [`run_batch_fold`] streams each result into a [`Reducer`] **inside the
-//!   worker that produced it**, so a 250-run sweep never holds 250 traces
-//!   (or views) in memory and the reduction itself runs in parallel. The
-//!   merged accumulator is identical to `run_batch` + a sequential fold,
-//!   at any thread count.
+//! * [`run_batch_fold`] streams each result into a [`Reducer`], so a
+//!   250-run sweep never holds 250 traces (or views) in memory and the
+//!   reduction itself runs in parallel;
+//! * [`run_batch`] materializes every result (`Vec<T>`, run-index order):
+//!   the fold pushes and the merge appends — right when downstream
+//!   analysis needs all runs side by side.
 //!
 //! ```
 //! use hex_sim::batch::{run_batch, run_batch_fold, Reducer};
@@ -47,74 +49,29 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Execute `runs` independent jobs, `job(run_index) -> T`, on `threads`
 /// worker threads (pass [`default_threads`]`()` — or `0` — for the
 /// machine's available parallelism). Results are returned in run-index
-/// order regardless of scheduling.
+/// order regardless of scheduling: this is [`run_batch_fold_with`] folding
+/// into a `Vec`, where the fold pushes and the merge appends, so the
+/// concatenation law keeps run order.
 pub fn run_batch<T, F>(runs: usize, threads: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_batch_with(runs, threads, || (), |(), run| job(run))
+    run_batch_fold_with(
+        runs,
+        threads,
+        || (),
+        Vec::new,
+        |(), out, run| out.push(job(run)),
+        append,
+    )
 }
 
-/// [`run_batch`] with one worker-owned scratch value: `make_scratch` runs
-/// once per worker thread (once total on the serial path) and every job on
-/// that worker gets `&mut` access to its scratch. This is how the
-/// simulation batch paths reuse a [`SimScratch`](crate::SimScratch) —
-/// O(threads) scratch allocations for any number of runs — without
-/// affecting the output: results are still returned in run-index order.
-pub fn run_batch_with<S, T, FS, F>(runs: usize, threads: usize, make_scratch: FS, job: F) -> Vec<T>
-where
-    T: Send,
-    FS: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let threads = if threads == 0 {
-        default_threads()
-    } else {
-        threads
-    };
-    let threads = threads.min(runs.max(1));
-    if threads <= 1 || runs <= 1 {
-        let mut scratch = make_scratch();
-        return (0..runs).map(|run| job(&mut scratch, run)).collect();
-    }
-    let next = AtomicUsize::new(0);
-
-    // Each worker buffers (index, result) pairs locally; no shared lock on
-    // the hot path. The scope join gives us every buffer back, and a final
-    // single-threaded pass restores run-index order.
-    let mut buffers: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut scratch = make_scratch();
-                    let mut local = Vec::with_capacity(runs / threads + 1);
-                    loop {
-                        let ix = next.fetch_add(1, Ordering::Relaxed);
-                        if ix >= runs {
-                            break;
-                        }
-                        local.push((ix, job(&mut scratch, ix)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("batch worker panicked"))
-            .collect()
-    });
-
-    let mut slots: Vec<Option<T>> = (0..runs).map(|_| None).collect();
-    for (ix, out) in buffers.drain(..).flatten() {
-        debug_assert!(slots[ix].is_none(), "run {ix} produced twice");
-        slots[ix] = Some(out);
-    }
-    slots
-        .into_iter()
-        .map(|o| o.expect("every run produced a result"))
-        .collect()
+/// The merge of a batch folded into a `Vec`: `left` covers the lower run
+/// indices, so appending `right` keeps run order.
+pub(crate) fn append<T>(mut left: Vec<T>, mut right: Vec<T>) -> Vec<T> {
+    left.append(&mut right);
+    left
 }
 
 /// A parallel map-reduce contract for [`run_batch_fold`].
@@ -162,9 +119,9 @@ pub trait Reducer<T> {
 /// into its own accumulator as results are produced — no `Vec<T>` of all
 /// results ever exists. Chunk accumulators are merged in ascending
 /// run-range order after the scope joins, so for any [`Reducer`] honoring
-/// the concatenation law the result equals
-/// `run_batch(runs, _, job)` followed by a sequential fold — **at any
-/// thread count** (see `spec_equivalence` tests at the workspace root).
+/// the concatenation law the result equals a sequential fold over
+/// `(0..runs).map(job)` — **at any thread count** (see `spec_equivalence`
+/// tests at the workspace root).
 pub fn run_batch_fold<T, F, R>(runs: usize, threads: usize, job: F, reducer: &R) -> R::Acc
 where
     T: Send,
@@ -181,14 +138,14 @@ where
     )
 }
 
-/// The scratch-aware core of [`run_batch_fold`], expressed in accumulator
+/// The batch scheduler behind [`run_batch`], [`run_batch_fold`] and the
+/// [`RunSpec`](crate::RunSpec) batch paths, expressed in accumulator
 /// operations so the per-run closure can both *produce* (into its worker's
 /// scratch) and *reduce* (into the chunk accumulator) without the result
 /// ever being moved: `fold_run(&mut scratch, &mut acc, run)`.
 ///
 /// `make_scratch` runs once per worker (once total on the serial path), so
-/// a batch performs O(threads) scratch allocations. Chunk boundaries and
-/// the merge order are identical to [`run_batch_fold`]'s: for any
+/// a batch performs O(threads) scratch allocations. For any
 /// concatenation-lawful `(empty, fold_run, merge)` triple the result is
 /// independent of the thread count.
 pub fn run_batch_fold_with<S, A, FS, FE, F, FM>(

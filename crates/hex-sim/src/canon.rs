@@ -102,11 +102,6 @@ impl RunSpec {
     pub fn canonical_bytes(&self) -> Vec<u8> {
         encode_spec(self)
     }
-
-    /// The content hash of this spec ([`spec_hash`]).
-    pub fn canonical_hash(&self) -> u64 {
-        spec_hash(self)
-    }
 }
 
 /// Encode a spec into its canonical bytes: a fixed sequence of

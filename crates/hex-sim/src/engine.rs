@@ -273,7 +273,7 @@ fn calendar_geometry(cfg: &SimConfig, nodes: usize) -> (i64, usize) {
 
 /// Reusable simulation working memory: the event queue, per-node states,
 /// the [`Trace`] storage (per-node `fires`/`arrivals` vectors) and the
-/// per-run [`RunView`](crate::spec::RunView) output buffers.
+/// streaming path's [`PulseBinner`] slots.
 ///
 /// One run of [`simulate_into`] on a dirty scratch is **byte-identical** to
 /// [`simulate`] on fresh allocations (pinned by the workspace determinism
@@ -324,10 +324,6 @@ pub struct SimScratch {
     active: Vec<bool>,
     /// Per-node `FaultPlan::is_faulty` bitmask.
     faulty: Vec<bool>,
-    /// Spec-level output buffers
-    /// ([`RunSpec::run_one_into`](crate::spec::RunSpec::run_one_into)
-    /// refills these per run).
-    pub(crate) out: crate::spec::RunView,
     /// Observer state of the streaming extraction path
     /// ([`simulate_observed_into`]); its slot buffers are recycled across
     /// runs like every other arena here.
@@ -360,7 +356,6 @@ impl SimScratch {
             batch_buf: Vec::new(),
             active: Vec::new(),
             faulty: Vec::new(),
-            out: crate::spec::RunView::default(),
             binner: PulseBinner::new(),
             grows: 0,
             popped_events: 0,
@@ -386,11 +381,6 @@ impl SimScratch {
         self.trace
     }
 
-    /// Extract the most recent observed-run binner, consuming the scratch.
-    pub fn into_binner(self) -> PulseBinner {
-        self.binner
-    }
-
     /// How many times the trace-sized buffers had to be (re)allocated —
     /// 1 after any number of same-shape runs; grows only when the graph
     /// shape changes under the scratch.
@@ -410,12 +400,6 @@ impl SimScratch {
     /// this share to justify its hold-model mix.
     pub fn stale_events(&self) -> u64 {
         self.stale_events
-    }
-
-    /// Split into the last run's trace and the spec-level output buffers
-    /// (both live in the scratch; the borrow checker needs them apart).
-    pub(crate) fn trace_and_out(&mut self) -> (&Trace, &mut crate::spec::RunView) {
-        (&self.trace, &mut self.out)
     }
 
     /// Make every buffer observationally identical to a fresh allocation

@@ -25,11 +25,12 @@
 //!
 //! ```
 //! use hex_clock::Scenario;
-//! use hex_sim::{RunSpec, PulseBinner};
+//! use hex_sim::{PulseBinner, RunSpec, SimScratch};
 //!
 //! let spec = RunSpec::grid(6, 5).runs(2).seed(7).scenario(Scenario::Zero);
 //! let grid = spec.hex_grid();
-//! let binner: PulseBinner = spec.run_one_observed(&grid, 0);
+//! let mut scratch = SimScratch::new();
+//! let binner: &PulseBinner = spec.run_one_observed_into(&grid, &mut scratch, 0);
 //! assert_eq!(binner.pulses(), 1);
 //! // Every node's firing time is available without a PulseView detour.
 //! for layer in 0..=6 {

@@ -5,8 +5,9 @@
 //! simulation runs: grid shape, layer-0 [`Scenario`], [`FaultRegime`],
 //! Table-3 timing derivation ([`TimingPolicy`]), initial states, pulse
 //! count and separation, the delay model, and the per-run seed policy.
-//! Batches execute on the parallel runner of [`crate::batch`], either
-//! materialized ([`RunSpec::run_batch`]) or streamed through a
+//! Batches execute on the one batch scheduler of [`crate::batch`], either
+//! materialized ([`RunSpec::run_batch`]: each run's owned views from
+//! [`RunSpec::run_one`], folded into a `Vec`) or streamed through a
 //! [`Reducer`] ([`RunSpec::fold_observed`]) so that
 //! per-run map+reduce never holds a whole 250-run sweep in memory.
 //!
@@ -48,7 +49,7 @@ use crate::engine::{
 };
 use crate::knobs;
 use crate::observe::PulseBinner;
-use crate::trace::{assign_pulses_into, ensure_views, PulseView, Trace};
+use crate::trace::{assign_pulses, PulseView, Trace};
 
 /// Per-run RNG salt for single-pulse batches (the run's scenario offsets
 /// and fault placement are drawn from `seed + run` XOR this).
@@ -232,7 +233,7 @@ pub enum TimingPolicy {
 
 /// The result of one run: per-pulse triggering-time matrices plus the
 /// faulty node set (single-pulse runs have exactly one view).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunView {
     /// Per-pulse triggering-time matrices (one for single-pulse specs).
     pub views: Vec<PulseView>,
@@ -264,7 +265,8 @@ pub struct RunInputs {
 /// [`RunSpec::small`] / [`RunSpec::from_env`], refine with the builder
 /// methods, then execute with [`RunSpec::run_batch`] (materialize all
 /// views), [`RunSpec::fold_observed`] (streaming map+reduce), or
-/// [`RunSpec::run_single`] / [`RunSpec::trace`] (one run).
+/// [`RunSpec::run_single`] / [`RunSpec::run_one`] / [`RunSpec::trace`]
+/// (one run).
 ///
 /// Fields are public so thin drivers can read the shape back (`spec.runs`,
 /// `spec.length`, …).
@@ -455,10 +457,6 @@ impl RunSpec {
         self.inputs_on(self.hex_grid().graph(), run)
     }
 
-    fn inputs_with(&self, grid: &HexGrid, run: usize) -> RunInputs {
-        self.inputs_on(grid.graph(), run)
-    }
-
     /// The one place run inputs are derived, for hex grids and custom
     /// topologies alike — any change to the schedule derivation or the
     /// engine configuration belongs here.
@@ -495,7 +493,7 @@ impl RunSpec {
     /// schedule that drove it (waveform export, custom post-processing).
     pub fn trace(&self, run: usize) -> (Trace, Schedule) {
         let grid = self.hex_grid();
-        let inputs = self.inputs_with(&grid, run);
+        let inputs = self.inputs_on(grid.graph(), run);
         let trace = simulate(grid.graph(), &inputs.schedule, &inputs.config, inputs.seed);
         (trace, inputs.schedule)
     }
@@ -509,55 +507,39 @@ impl RunSpec {
         simulate(graph, &inputs.schedule, &inputs.config, inputs.seed)
     }
 
-    /// Execute one run (sharing the grid passed in) and reduce it to its
-    /// per-pulse views plus faulty set.
-    ///
-    /// Equivalent to [`RunSpec::run_one_into`] on a fresh scratch; loops
-    /// over many runs should hold one [`SimScratch`] and use that instead.
-    pub fn run_one_with(&self, grid: &HexGrid, run: usize) -> RunView {
-        let mut scratch = SimScratch::new();
-        self.run_one_into(grid, &mut scratch, run);
-        scratch.out
-    }
-
-    /// Execute one run through `scratch`, recycling the event queue, node
-    /// states, trace storage and view matrices of whatever ran before, and
-    /// return the run's views (borrowed from the scratch, which stays
-    /// reusable). Byte-identical to [`RunSpec::run_one_with`] — the batch
-    /// paths call this with one scratch per worker thread so a sweep
-    /// performs O(threads) rather than O(runs) trace-sized allocations.
-    pub fn run_one_into<'s>(
-        &self,
-        grid: &HexGrid,
-        scratch: &'s mut SimScratch,
-        run: usize,
-    ) -> &'s RunView {
-        let inputs = self.inputs_with(grid, run);
-        simulate_into(
+    /// Execute run `run` (on the grid passed in) through `scratch`, and
+    /// return its owned per-pulse views plus faulty set. The scratch
+    /// recycles the event queue, node states and trace storage of whatever
+    /// ran before, and the result is byte-identical on a fresh or a dirty
+    /// scratch — the batch paths hold one scratch per worker thread, so a
+    /// sweep performs O(threads) rather than O(runs) trace-sized
+    /// allocations.
+    pub fn run_one(&self, grid: &HexGrid, scratch: &mut SimScratch, run: usize) -> RunView {
+        let inputs = self.inputs_on(grid.graph(), run);
+        let trace = simulate_into(
             scratch,
             grid.graph(),
             &inputs.schedule,
             &inputs.config,
             inputs.seed,
         );
-        let mid = self.delays.envelope().mid();
-        let (trace, out) = scratch.trace_and_out();
-        out.faulty.clear();
-        out.faulty.extend_from_slice(&trace.faulty);
-        if inputs.schedule.pulses() <= 1 {
-            ensure_views(&mut out.views, 1);
-            out.views[0].refill_single_pulse(grid, trace);
+        let views = if inputs.schedule.pulses() <= 1 {
+            vec![PulseView::from_single_pulse(grid, trace)]
         } else {
-            assign_pulses_into(&mut out.views, grid, trace, &inputs.schedule, mid);
+            let mid = self.delays.envelope().mid();
+            assign_pulses(grid, trace, &inputs.schedule, mid)
+        };
+        RunView {
+            views,
+            faulty: trace.faulty.clone(),
         }
-        &scratch.out
     }
 
     /// Execute one run through `scratch` on the **streaming extraction
     /// path**: every firing is binned to its pulse online by the scratch's
     /// [`PulseBinner`] — no trace fires are recorded and no
     /// [`PulseView`] matrices exist. The binner's per-pulse slots are
-    /// identical to the view matrices [`RunSpec::run_one_into`] would have
+    /// identical to the view matrices [`RunSpec::run_one`] would have
     /// produced (pinned by the observer-equivalence walls); extraction
     /// helpers in `hex-analysis` read them directly.
     pub fn run_one_observed_into<'s>(
@@ -566,7 +548,7 @@ impl RunSpec {
         scratch: &'s mut SimScratch,
         run: usize,
     ) -> &'s PulseBinner {
-        let inputs = self.inputs_with(grid, run);
+        let inputs = self.inputs_on(grid.graph(), run);
         let d_mid = self.delays.envelope().mid();
         simulate_observed_into(
             scratch,
@@ -578,30 +560,25 @@ impl RunSpec {
         )
     }
 
-    /// Fresh-scratch convenience for [`RunSpec::run_one_observed_into`]
-    /// (tests, doctests, one-off extractions); loops should hold one
-    /// [`SimScratch`] and use the `_into` twin.
-    pub fn run_one_observed(&self, grid: &HexGrid, run: usize) -> PulseBinner {
-        let mut scratch = SimScratch::new();
-        self.run_one_observed_into(grid, &mut scratch, run);
-        scratch.into_binner()
-    }
-
     /// Execute the whole batch in parallel, materializing every run's
-    /// views in run-index order. Each worker thread recycles one
-    /// [`SimScratch`] for its engine-side buffers; the returned views are
-    /// owned per run (that is what materializing means).
+    /// views in run-index order: a fold into a `Vec` on the one batch
+    /// scheduler ([`crate::batch::run_batch_fold_with`]), with one
+    /// [`SimScratch`] per worker thread.
     pub fn run_batch(&self) -> Vec<RunView> {
         let grid = self.hex_grid();
-        batch::run_batch_with(self.runs, self.threads, SimScratch::new, |scratch, run| {
-            self.run_one_into(&grid, scratch, run).clone()
-        })
+        batch::run_batch_fold_with(
+            self.runs,
+            self.threads,
+            SimScratch::new,
+            Vec::new,
+            |scratch, out, run| out.push(self.run_one(&grid, scratch, run)),
+            batch::append,
+        )
     }
 
     /// Execute run 0 only (Figs. 8/9/13/14 plot one representative wave).
     pub fn run_single(&self) -> RunView {
-        let grid = self.hex_grid();
-        self.run_one_with(&grid, 0)
+        self.run_one(&self.hex_grid(), &mut SimScratch::new(), 0)
     }
 
     /// Execute the whole batch in parallel on the **streaming extraction
@@ -683,7 +660,7 @@ mod tests {
             let trace = simulate(grid.graph(), &schedule, &cfg, seed);
             let legacy_view = PulseView::from_single_pulse(&grid, &trace);
 
-            let rv = spec.run_one_with(&grid, run);
+            let rv = spec.run_one(&grid, &mut SimScratch::new(), run);
             assert_eq!(rv.faulty, trace.faulty, "run {run}");
             assert_eq!(rv.view().t, legacy_view.t, "run {run}");
             assert_eq!(rv.view().cause, legacy_view.cause, "run {run}");
@@ -718,7 +695,7 @@ mod tests {
                 hex_core::DelayRange::paper().mid(),
             );
 
-            let rv = spec.run_one_with(&grid, run);
+            let rv = spec.run_one(&grid, &mut SimScratch::new(), run);
             assert_eq!(rv.views.len(), legacy.len(), "run {run}");
             for (k, (got, want)) in rv.views.iter().zip(&legacy).enumerate() {
                 assert_eq!(got.t, want.t, "run {run} pulse {k}");
@@ -805,21 +782,22 @@ mod tests {
     }
 
     #[test]
-    fn run_one_into_reuses_one_trace_allocation() {
+    fn run_one_reuses_one_trace_allocation() {
         let spec = RunSpec::grid(8, 6).runs(10).scenario(Scenario::Ramp);
         let grid = spec.hex_grid();
         let mut scratch = SimScratch::new();
         for run in 0..10 {
-            let reused = spec.run_one_into(&grid, &mut scratch, run).clone();
-            assert_eq!(reused, spec.run_one_with(&grid, run), "run {run}");
+            let reused = spec.run_one(&grid, &mut scratch, run);
+            let fresh = spec.run_one(&grid, &mut SimScratch::new(), run);
+            assert_eq!(reused, fresh, "run {run}");
         }
         // Ten same-shape runs share a single trace-sized allocation.
         assert_eq!(scratch.grow_count(), 1);
         // A shape change grows exactly once more, then is reused again.
         let other = RunSpec::grid(5, 4).runs(2);
         let other_grid = other.hex_grid();
-        other.run_one_into(&other_grid, &mut scratch, 0);
-        other.run_one_into(&other_grid, &mut scratch, 1);
+        other.run_one(&other_grid, &mut scratch, 0);
+        other.run_one(&other_grid, &mut scratch, 1);
         assert_eq!(scratch.grow_count(), 2);
     }
 
@@ -943,12 +921,12 @@ mod tests {
             // so reuse never starts from a conveniently fresh state.
             let mut scratch = SimScratch::new();
             let decoy = RunSpec::grid(3, 4).runs(1).seed(seed ^ 0xDEC0);
-            decoy.run_one_into(&decoy.hex_grid(), &mut scratch, 0);
+            decoy.run_one(&decoy.hex_grid(), &mut scratch, 0);
 
             for run in 0..spec.runs {
-                let fresh = spec.run_one_with(&grid, run);
-                let reused = spec.run_one_into(&grid, &mut scratch, run);
-                prop_assert_eq!(reused, &fresh, "run {} diverged under reuse", run);
+                let fresh = spec.run_one(&grid, &mut SimScratch::new(), run);
+                let reused = spec.run_one(&grid, &mut scratch, run);
+                prop_assert_eq!(reused, fresh, "run {} diverged under reuse", run);
             }
         }
 

@@ -5,8 +5,9 @@
 //! `t^(k)_{ℓ,i}` that all of the paper's statistics (Definition 3 skews,
 //! histograms, stabilization estimates) are computed from.
 //!
-//! This is the **materialized reference path**. Sweep workloads that only
-//! need the statistics ride the streaming twin instead — a
+//! This is the **materialized reference path**; [`assign_pulses`] and
+//! [`PulseView::from_single_pulse`] share one binning loop. Sweep workloads
+//! that only need the statistics ride the streaming twin instead — a
 //! [`PulseBinner`](crate::observe::PulseBinner) observer bins fires to
 //! pulses online, byte-identically to [`assign_pulses`] /
 //! [`PulseView::from_single_pulse`], without recording a trace at all
@@ -77,10 +78,10 @@ impl Trace {
 }
 
 /// The triggering-time matrix of one pulse on a `(L+1) × W` grid:
-/// `t[ℓ][i]` is the (unique) triggering time of node `(ℓ, i)` for this
-/// pulse, `None` for nodes that did not fire (faulty or starved) or fired
-/// ambiguously (several firings binned to this pulse — counted in
-/// [`PulseView::spurious`]).
+/// `t[ℓ][i]` is the first triggering time of node `(ℓ, i)` binned to this
+/// pulse, `None` for nodes that did not fire (faulty or starved). Further
+/// firings binned to the same pulse are counted in
+/// [`PulseView::spurious`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PulseView {
     /// Triggering times, `[layer][column]`.
@@ -132,75 +133,12 @@ impl PulseView {
         true
     }
 
-    /// A zero-sized placeholder; only useful as a refill target (all
-    /// refill APIs reshape it to the grid first).
-    pub fn placeholder() -> PulseView {
-        PulseView {
-            t: Vec::new(),
-            cause: Vec::new(),
-            spurious: 0,
-        }
-    }
-
-    /// Resize to an `(l+1) × w` all-`None` matrix, reusing row allocations.
-    fn reshape(&mut self, l: u32, w: u32) {
-        let rows = (l + 1) as usize;
-        self.t.truncate(rows);
-        self.cause.truncate(rows);
-        self.t.resize_with(rows, Vec::new);
-        self.cause.resize_with(rows, Vec::new);
-        for row in &mut self.t {
-            row.clear();
-            row.resize(w as usize, None);
-        }
-        for row in &mut self.cause {
-            row.clear();
-            row.resize(w as usize, None);
-        }
-        self.spurious = 0;
-    }
-
-    /// Build a single-pulse view directly from a trace (every node's unique
-    /// firing; multiple firings count as spurious and void the entry).
+    /// Build a single-pulse view directly from a trace (every node's first
+    /// firing; further firings count as spurious).
     pub fn from_single_pulse(grid: &HexGrid, trace: &Trace) -> PulseView {
-        let mut view = PulseView::placeholder();
-        view.refill_single_pulse(grid, trace);
-        view
-    }
-
-    /// Refill `self` from a single-pulse trace in place — the reuse twin of
-    /// [`PulseView::from_single_pulse`]: identical contents, no matrix
-    /// allocation when the shape already matches `grid`.
-    pub fn refill_single_pulse(&mut self, grid: &HexGrid, trace: &Trace) {
-        let (l, w) = (grid.length(), grid.width());
-        self.reshape(l, w);
-        for layer in 0..=l {
-            for col in 0..w {
-                let n = grid.node(layer, col as i64);
-                let fs = &trace.fires[n as usize];
-                match fs.as_slice() {
-                    [] => {}
-                    [(time, c)] => {
-                        self.t[layer as usize][col as usize] = Some(*time);
-                        self.cause[layer as usize][col as usize] = Some(*c);
-                    }
-                    more => {
-                        self.spurious += more.len() - 1;
-                        self.t[layer as usize][col as usize] = Some(more[0].0);
-                        self.cause[layer as usize][col as usize] = Some(more[0].1);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Truncate or pad `views` to exactly `pulses` placeholder-backed entries,
-/// keeping existing matrix allocations for reuse.
-pub(crate) fn ensure_views(views: &mut Vec<PulseView>, pulses: usize) {
-    views.truncate(pulses);
-    while views.len() < pulses {
-        views.push(PulseView::placeholder());
+        bin_pulses(grid, trace, 1, |_, _| Time::ZERO, Duration::ZERO)
+            .pop()
+            .expect("one pulse, one view")
     }
 }
 
@@ -250,50 +188,50 @@ pub fn assign_pulses(
     schedule: &Schedule,
     d_mid: Duration,
 ) -> Vec<PulseView> {
-    let mut views = Vec::new();
-    assign_pulses_into(&mut views, grid, trace, schedule, d_mid);
-    views
+    let base = |col, k| column_base(schedule, col, k);
+    bin_pulses(grid, trace, schedule.pulses(), base, d_mid)
 }
 
-/// In-place twin of [`assign_pulses`]: bin the firings into `views`,
-/// reusing its matrices when the shapes match. Produces exactly the same
-/// views as [`assign_pulses`], regardless of what `views` held before.
-pub fn assign_pulses_into(
-    views: &mut Vec<PulseView>,
+/// The one binning loop of [`assign_pulses`] and
+/// [`PulseView::from_single_pulse`]. A node's expected time of pulse `k`
+/// is its column's `base(col, k)` plus `layer · d_mid`, so each firing
+/// shifted back by `layer · d_mid` is searched against the column bases;
+/// with one pulse, every firing bins to pulse 0. The first firing binned to
+/// a slot claims it, and later ones count as spurious.
+fn bin_pulses(
     grid: &HexGrid,
     trace: &Trace,
-    schedule: &Schedule,
+    pulses: usize,
+    base: impl Fn(usize, usize) -> Time,
     d_mid: Duration,
-) {
-    let pulses = schedule.pulses();
-    let (l, w) = (grid.length(), grid.width());
-    ensure_views(views, pulses);
-    for v in views.iter_mut() {
-        v.reshape(l, w);
-    }
-
-    // A node's expected time of pulse `k` is its column's base plus
-    // `layer · d_mid`, so each firing shifted back by `layer · d_mid` is
-    // searched against the column base.
-    let mut base = Vec::with_capacity(pulses);
+) -> Vec<PulseView> {
+    let (l, w) = (grid.length(), grid.width() as usize);
+    let blank = PulseView {
+        t: vec![vec![None; w]; l as usize + 1],
+        cause: vec![vec![None; w]; l as usize + 1],
+        spurious: 0,
+    };
+    let mut views = vec![blank; pulses];
+    let mut bases = Vec::with_capacity(pulses);
     for col in 0..w {
-        base.clear();
-        base.extend((0..pulses).map(|k| column_base(schedule, col as usize, k)));
+        bases.clear();
+        bases.extend((0..pulses).map(|k| base(col, k)));
         for layer in 0..=l {
             let n = grid.node(layer, col as i64);
             let shift = d_mid.times(layer as i64);
+            let row = layer as usize;
             for &(time, cause) in &trace.fires[n as usize] {
-                let k = nearest_pulse(&base, time - shift);
-                let slot = &mut views[k].t[layer as usize][col as usize];
-                if slot.is_none() {
-                    *slot = Some(time);
-                    views[k].cause[layer as usize][col as usize] = Some(cause);
+                let view = &mut views[nearest_pulse(&bases, time - shift)];
+                if view.t[row][col].is_none() {
+                    view.t[row][col] = Some(time);
+                    view.cause[row][col] = Some(cause);
                 } else {
-                    views[k].spurious += 1;
+                    view.spurious += 1;
                 }
             }
         }
     }
+    views
 }
 
 #[cfg(test)]

@@ -52,8 +52,9 @@ fn invariants_hold_in_demanding_regimes() {
     }
     for (name, spec) in demanding_specs() {
         let grid = spec.hex_grid();
-        for (run, got) in spec.run_batch().iter().enumerate() {
-            assert_eq!(got, &spec.run_one_with(&grid, run), "{name} run {run}");
+        for (run, got) in spec.run_batch().into_iter().enumerate() {
+            let fresh = spec.run_one(&grid, &mut SimScratch::new(), run);
+            assert_eq!(got, fresh, "{name} run {run}");
         }
     }
 }
@@ -67,12 +68,9 @@ fn invariants_hold_through_a_dirty_scratch() {
         for (name, spec) in demanding_specs() {
             let grid = spec.hex_grid();
             for run in 0..spec.runs {
-                let view = spec.run_one_into(&grid, &mut scratch, run).clone();
-                assert_eq!(
-                    view,
-                    spec.run_one_with(&grid, run),
-                    "{name} run {run} pass {pass}"
-                );
+                let view = spec.run_one(&grid, &mut scratch, run);
+                let fresh = spec.run_one(&grid, &mut SimScratch::new(), run);
+                assert_eq!(view, fresh, "{name} run {run} pass {pass}");
             }
         }
     }

@@ -119,9 +119,9 @@ pub mod prelude {
     };
     pub use hex_des::{CalendarQueue, Duration, EventQueue, Schedule, SimRng, Time};
     pub use hex_sim::{
-        assign_pulses, run_batch, run_batch_fold, run_batch_fold_with, run_batch_with, simulate,
-        simulate_into, simulate_observed_into, FaultRegime, InitState, PulseBinner, PulseView,
-        Reducer, RunObserver, RunSpec, RunView, SimConfig, SimScratch, TimingPolicy,
+        assign_pulses, run_batch, run_batch_fold, run_batch_fold_with, simulate, simulate_into,
+        simulate_observed_into, FaultRegime, InitState, PulseBinner, PulseView, Reducer,
+        RunObserver, RunSpec, RunView, SimConfig, SimScratch, TimingPolicy,
     };
     pub use hex_theory::{theorem1_intra_bound, Condition2};
 }

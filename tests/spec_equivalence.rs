@@ -12,8 +12,9 @@
 //!    byte-identical to the legacy wiring;
 //! 3. the streaming observed fold equals `run_batch` reduced run by run at
 //!    any thread count, for the multi-pulse stabilization reduction, and
-//!    `run_batch_fold` (streaming, chunk-stealing) equals `run_batch` + a
-//!    sequential fold.
+//!    both `run_batch_fold` (streaming, chunk-stealing) and `run_batch` (a
+//!    fold into a `Vec` on the same scheduler) equal a plain sequential
+//!    map over the run indices.
 
 use hexclock::core::fault::{forwarder_candidates, place_condition1};
 use hexclock::core::NodeFault;
@@ -101,9 +102,10 @@ fn scratch_backed_fold_equals_materialize_for_multi_pulse_batches() {
     use hexclock::analysis::stabilization::{stabilization_pulse, Criterion};
 
     // Multi-pulse + Arbitrary init + Byzantine faults exercises every
-    // scratch-reuse path at once: trace buffers and view matrices
-    // (assign_pulses_into) on the materialized side, and the per-worker
-    // SimScratch and its binner on the observed fold.
+    // scratch-reuse path at once: the per-worker SimScratch and its trace
+    // buffers under `run_batch` (each run's views binned by
+    // `assign_pulses`), and the per-worker SimScratch and its binner on the
+    // observed fold.
     let base = RunSpec::grid(10, 6)
         .runs(12)
         .scenario(Scenario::Zero)
@@ -164,12 +166,18 @@ fn run_batch_fold_primitive_matches_sequential_fold() {
     }
 
     let job = |run: usize| (run as u64).wrapping_mul(0x9E37_79B9);
-    let materialized: Vec<(usize, u64)> = run_batch(97, 4, job).into_iter().enumerate().collect();
+    let sequential: Vec<u64> = (0..97).map(job).collect();
+    let pairs: Vec<(usize, u64)> = sequential.iter().copied().enumerate().collect();
     for threads in [1usize, 2, 5, 16] {
         assert_eq!(
             run_batch_fold(97, threads, job, &Pairs),
-            materialized,
-            "threads = {threads}"
+            pairs,
+            "threads = {threads}: run_batch_fold"
+        );
+        assert_eq!(
+            run_batch(97, threads, job),
+            sequential,
+            "threads = {threads}: run_batch"
         );
     }
 }

@@ -38,6 +38,9 @@
 //!   [`stabilization`] stay as their reference;
 //! * [`emit`] — shared machine-readable output (CSV/JSON tables gated by
 //!   `HEX_EMIT`) for all experiment drivers.
+//!
+//! Executions are checked against the paper's system model while they
+//! run, by `hex_sim::check_model`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +48,6 @@
 pub mod boxplot;
 pub mod causal;
 pub mod causal_faulty;
-pub mod checker;
 pub mod crash;
 pub mod emit;
 pub mod histogram;

@@ -35,14 +35,14 @@
 
 use hex_core::delay::ResolvedDelays;
 use hex_core::{
-    DelayModel, FaultEvent, FaultPlan, FaultScript, FaultTransition, HexGrid, LinkBehavior,
-    NodeFault, NodeId, PulseGraph, RejoinState, Role, Timing, TriggerCause,
+    DelayModel, DelayRange, FaultEvent, FaultPlan, FaultScript, FaultTransition, HexGrid,
+    LinkBehavior, NodeFault, NodeId, PulseGraph, RejoinState, Role, Timing, TriggerCause,
 };
 use hex_des::{CalendarQueue, Duration, Schedule, SimRng, Time};
 
-use crate::observe::{FireLog, PulseBinner, RunObserver};
+use crate::observe::{CheckStats, FireLog, ModelCheck, PulseBinner, RunObserver, Violation};
 use crate::soa::SoaNodes;
-use crate::trace::{Arrival, Trace};
+use crate::trace::Trace;
 
 /// Initial node states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,10 +105,6 @@ pub struct SimConfig {
     /// for the whole schedule to propagate through the grid (see
     /// [`SimConfig::auto_horizon`]).
     pub horizon: Option<Time>,
-    /// Record every flag-setting message arrival into
-    /// [`Trace::arrivals`] (provenance for the execution checker;
-    /// off by default — it costs memory proportional to message count).
-    pub record_arrivals: bool,
     /// Dynamic fault timeline: scheduled [`FaultTransition`]s that flip
     /// the hoisted `active`/`faulty` bitmasks (and the link-behaviour
     /// table) mid-run. `None` (or an empty script) runs the static-plan
@@ -154,7 +150,6 @@ impl SimConfig {
             faults: FaultPlan::none(),
             init: InitState::Clean,
             horizon: None,
-            record_arrivals: false,
             script: None,
         }
     }
@@ -177,6 +172,13 @@ impl SimConfig {
         let d_plus = self.delays.envelope().hi;
         let f = self.faults.fault_count() as i64;
         last + d_plus.times(2 * (depth + f + 2)) + self.timing.sleep.hi.times(2)
+    }
+
+    /// The end time a run of `schedule` on `graph` enforces:
+    /// [`SimConfig::horizon`], else [`SimConfig::auto_horizon`].
+    pub(crate) fn horizon_on(&self, graph: &PulseGraph, schedule: &Schedule) -> Time {
+        self.horizon
+            .unwrap_or_else(|| self.auto_horizon(graph, schedule))
     }
 
     /// The largest increment this configuration ever schedules ahead of
@@ -272,8 +274,8 @@ fn calendar_geometry(cfg: &SimConfig, nodes: usize) -> (i64, usize) {
 }
 
 /// Reusable simulation working memory: the event queue, per-node states,
-/// the [`Trace`] storage (per-node `fires`/`arrivals` vectors) and the
-/// streaming path's [`PulseBinner`] slots.
+/// the [`Trace`] storage (per-node `fires` vectors) and the streaming
+/// path's [`PulseBinner`] slots.
 ///
 /// One run of [`simulate_into`] on a dirty scratch is **byte-identical** to
 /// [`simulate`] on fresh allocations (pinned by the workspace determinism
@@ -345,7 +347,6 @@ impl SimScratch {
         SimScratch {
             trace: Trace {
                 fires: Vec::new(),
-                arrivals: Vec::new(),
                 faulty: Vec::new(),
                 horizon: Time::ZERO,
             },
@@ -363,26 +364,8 @@ impl SimScratch {
         }
     }
 
-    /// The trace of the most recent [`simulate_into`] run. (An observed
-    /// run — [`simulate_observed_into`] — records no fires, so after one
-    /// this reads as an empty trace.)
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// The pulse-binned observer state of the most recent
-    /// [`simulate_observed_into`] run.
-    pub fn binner(&self) -> &PulseBinner {
-        &self.binner
-    }
-
-    /// Extract the most recent trace, consuming the scratch.
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
-
-    /// How many times the trace-sized buffers had to be (re)allocated —
-    /// 1 after any number of same-shape runs; grows only when the graph
+    /// How many times the per-node buffers had to be (re)allocated — 1
+    /// after any number of same-shape runs; grows only when the graph
     /// shape changes under the scratch.
     pub fn grow_count(&self) -> usize {
         self.grows
@@ -407,20 +390,10 @@ impl SimScratch {
     /// ring geometry) allows.
     fn prepare(&mut self, graph: &PulseGraph, cfg: &SimConfig) {
         let n = graph.node_count();
-        let shape_ok = self.trace.fires.len() == n
-            && self.trace.arrivals.len() == n
-            && self.nodes.matches(graph);
-        if shape_ok {
-            self.trace.clear();
+        if self.nodes.matches(graph) {
             self.nodes.reset_clean();
         } else {
             self.grows += 1;
-            self.trace = Trace {
-                fires: vec![Vec::new(); n],
-                arrivals: vec![Vec::new(); n],
-                faulty: Vec::new(),
-                horizon: Time::ZERO,
-            };
             self.nodes.rebuild(graph);
         }
 
@@ -447,6 +420,36 @@ impl SimScratch {
         self.popped_events = 0;
         self.stale_events = 0;
     }
+
+    /// The one run body behind every entry point: derive the run's setup,
+    /// recycle the scratch for it, and drive it through [`run_windows`],
+    /// streaming every firing and flag-setting arrival into `obs`.
+    /// Records the work counters and returns the enforced horizon.
+    fn run<O: RunObserver, const REFERENCE: bool>(
+        &mut self,
+        graph: &PulseGraph,
+        schedule: &Schedule,
+        cfg: &SimConfig,
+        seed: u64,
+        obs: &mut O,
+    ) -> Time {
+        let mut setup = prepare_run(graph, schedule, cfg, seed);
+        self.prepare(graph, cfg);
+        let SimScratch {
+            nodes,
+            queue,
+            batch_buf,
+            active,
+            faulty,
+            ..
+        } = self;
+        let (popped, stale) = run_windows::<_, REFERENCE>(
+            &mut setup, graph, cfg, schedule, queue, nodes, active, faulty, obs, batch_buf,
+        );
+        self.popped_events = popped;
+        self.stale_events = stale;
+        setup.horizon
+    }
 }
 
 /// Run one simulation of `graph` driven by `schedule` (one entry per source
@@ -464,7 +467,7 @@ impl SimScratch {
 pub fn simulate(graph: &PulseGraph, schedule: &Schedule, cfg: &SimConfig, seed: u64) -> Trace {
     let mut scratch = SimScratch::new();
     simulate_into(&mut scratch, graph, schedule, cfg, seed);
-    scratch.into_trace()
+    scratch.trace
 }
 
 /// Read-only per-run context shared by the event loop and its helpers.
@@ -519,9 +522,7 @@ fn prepare_run(graph: &PulseGraph, schedule: &Schedule, cfg: &SimConfig, seed: u
     let mut rng = SimRng::seed_from_u64(seed);
     let delays = cfg.delays.resolve(graph, &mut rng);
     let behaviors = cfg.faults.resolve(graph, &mut rng);
-    let horizon = cfg
-        .horizon
-        .unwrap_or_else(|| cfg.auto_horizon(graph, schedule));
+    let horizon = cfg.horizon_on(graph, schedule);
     let base_behaviors = match &cfg.script {
         Some(script) if !script.is_empty() => {
             script.assert_in_bounds(graph.node_count(), graph.link_count());
@@ -569,30 +570,17 @@ fn traced_run<'s, const REFERENCE: bool>(
     cfg: &SimConfig,
     seed: u64,
 ) -> &'s Trace {
-    let mut setup = prepare_run(graph, schedule, cfg, seed);
-    scratch.prepare(graph, cfg);
-    let SimScratch {
-        trace,
-        nodes,
-        queue,
-        batch_buf,
-        active,
-        faulty,
-        ..
-    } = scratch;
-    let Trace {
-        fires, arrivals, ..
-    } = trace;
-    let mut obs = FireLog { fires };
-    let (popped, stale) = run_windows::<_, REFERENCE>(
-        &mut setup, graph, cfg, schedule, queue, nodes, active, faulty, &mut obs, arrivals,
-        batch_buf,
-    );
-
-    trace.faulty = cfg.faults.faulty_nodes();
-    trace.horizon = setup.horizon;
-    scratch.popped_events = popped;
-    scratch.stale_events = stale;
+    // The fire records step out of the scratch while the run borrows it.
+    let mut fires = std::mem::take(&mut scratch.trace.fires);
+    fires.iter_mut().for_each(Vec::clear);
+    fires.resize_with(graph.node_count(), Vec::new);
+    let mut obs = FireLog { fires: &mut fires };
+    let horizon = scratch.run::<_, REFERENCE>(graph, schedule, cfg, seed, &mut obs);
+    scratch.trace = Trace {
+        fires,
+        faulty: cfg.faults.faulty_nodes(),
+        horizon,
+    };
     &scratch.trace
 }
 
@@ -634,28 +622,34 @@ fn observed_run<'s, const REFERENCE: bool>(
     seed: u64,
     d_mid: Duration,
 ) -> &'s PulseBinner {
-    let graph = grid.graph();
-    let mut setup = prepare_run(graph, schedule, cfg, seed);
-    scratch.prepare(graph, cfg);
-    let SimScratch {
-        trace,
-        nodes,
-        queue,
-        batch_buf,
-        active,
-        faulty,
-        binner,
-        ..
-    } = scratch;
+    // The binner steps out of the scratch while the run borrows it.
+    let mut binner = std::mem::take(&mut scratch.binner);
     binner.prepare(grid, schedule, d_mid, &cfg.faults.faulty_nodes());
-    let arrivals = &mut trace.arrivals;
-    let (popped, stale) = run_windows::<_, REFERENCE>(
-        &mut setup, graph, cfg, schedule, queue, nodes, active, faulty, binner, arrivals, batch_buf,
-    );
-
-    scratch.popped_events = popped;
-    scratch.stale_events = stale;
+    scratch.run::<_, REFERENCE>(grid.graph(), schedule, cfg, seed, &mut binner);
+    scratch.binner = binner;
     &scratch.binner
+}
+
+/// Run the execution [`simulate`] records for the same arguments under the
+/// model checker, and return what was checked or the first breach of the
+/// paper's Section 2 model in event order (each rule is a [`Violation`]
+/// variant). Every bound comes from `cfg`: the delay envelope, `T+_link`,
+/// `T−_sleep`, the fault plan and the horizon.
+///
+/// # Panics
+///
+/// Panics if the schedule's source count does not match the graph's, or
+/// if `cfg` carries a non-empty fault script: the checker holds each
+/// node to the static fault plan.
+pub fn check_model(
+    graph: &PulseGraph,
+    schedule: &Schedule,
+    cfg: &SimConfig,
+    seed: u64,
+) -> Result<CheckStats, Violation> {
+    let mut check = ModelCheck::new(graph, schedule, cfg);
+    SimScratch::new().run::<_, false>(graph, schedule, cfg, seed, &mut check);
+    check.finish()
 }
 
 /// The batching reference: [`simulate_into`] through the same driver with
@@ -760,17 +754,7 @@ fn seed_events<O: RunObserver>(
         }
         for (port, &l) in graph.in_links(n).iter().enumerate() {
             if ctx.behaviors[l as usize] == LinkBehavior::StuckOne {
-                if let Some(epoch) = nodes.set_flag(n, port as u8) {
-                    let dur = rng.duration_in(cfg.timing.link.lo, cfg.timing.link.hi);
-                    q.push(
-                        Time::ZERO + dur,
-                        Ev::LinkTimeout {
-                            node: n,
-                            port: port as u8,
-                            epoch,
-                        },
-                    );
-                }
+                arm_flag(n, port as u8, Time::ZERO, cfg.timing.link, nodes, q, rng);
             }
         }
     }
@@ -826,7 +810,6 @@ fn run_windows<O: RunObserver, const REFERENCE: bool>(
     active: &mut [bool],
     faulty: &mut [bool],
     obs: &mut O,
-    arrivals: &mut [Vec<Arrival>],
     batch_buf: &mut Vec<(Time, Ev)>,
 ) -> (u64, u64) {
     let transitions = cfg.script.as_ref().map_or(&[][..], |s| s.transitions());
@@ -868,9 +851,9 @@ fn run_windows<O: RunObserver, const REFERENCE: bool>(
         };
         let rng = &mut setup.rng;
         stale += if !REFERENCE && batch_fault_free(&ctx) {
-            drain::<O, true>(q, &ctx, span, cap, nodes, obs, arrivals, rng, batch_buf)
+            drain::<O, true>(q, &ctx, span, cap, nodes, obs, rng, batch_buf)
         } else {
-            drain::<O, false>(q, &ctx, span, cap, nodes, obs, arrivals, rng, batch_buf)
+            drain::<O, false>(q, &ctx, span, cap, nodes, obs, rng, batch_buf)
         };
         if boundary.is_none() {
             q.pop(); // the first event past the horizon, if any
@@ -880,9 +863,7 @@ fn run_windows<O: RunObserver, const REFERENCE: bool>(
             let e = q.pop().expect("the transition's sentinel is pending");
             match e.payload {
                 Ev::Script { index } => break index as usize,
-                ev => {
-                    stale += dispatch::<O, false>(&[(e.at, ev)], &ctx, nodes, obs, arrivals, q, rng)
-                }
+                ev => stale += dispatch::<O, false>(&[(e.at, ev)], &ctx, nodes, obs, q, rng),
             }
         };
         debug_assert_eq!(index, next, "sentinels pop in timeline order");
@@ -923,13 +904,12 @@ fn drain<O: RunObserver, const FAULT_FREE: bool>(
     cap: Time,
     nodes: &mut SoaNodes,
     obs: &mut O,
-    arrivals: &mut [Vec<Arrival>],
     rng: &mut SimRng,
     batch: &mut Vec<(Time, Ev)>,
 ) -> u64 {
     let mut stale = 0u64;
     while q.drain_bucket(span, cap, batch) > 0 {
-        stale += dispatch::<O, FAULT_FREE>(batch, ctx, nodes, obs, arrivals, q, rng);
+        stale += dispatch::<O, FAULT_FREE>(batch, ctx, nodes, obs, q, rng);
     }
     stale
 }
@@ -941,21 +921,18 @@ fn drain<O: RunObserver, const FAULT_FREE: bool>(
 /// out every fault and role check and the stuck-at-1 refresh; the masked
 /// kernel also rejects, as stale, the timers of a currently-faulty node,
 /// which a scripted fault needs (a static run never gives an inactive
-/// node a timer). Script sentinels never reach it. Returns the
-/// stale-event count.
-#[allow(clippy::too_many_arguments)]
+/// node a timer). Script sentinels never reach it. A `Deliver` that
+/// newly sets a flag is reported to [`RunObserver::on_arrival`] before
+/// the guard is evaluated. Returns the stale-event count.
 fn dispatch<O: RunObserver, const FAULT_FREE: bool>(
     batch: &[(Time, Ev)],
     ctx: &RunCtx<'_>,
     nodes: &mut SoaNodes,
     obs: &mut O,
-    arrivals: &mut [Vec<Arrival>],
     q: &mut CalendarQueue<Ev>,
     rng: &mut SimRng,
 ) -> u64 {
     let graph = ctx.graph;
-    let cfg = ctx.cfg;
-    let record_arrivals = cfg.record_arrivals;
     let mut stale = 0u64;
     // Sort-free same-kind grouping: the batch is already in (time, seq)
     // pop order; split it into maximal consecutive runs of one event
@@ -991,23 +968,8 @@ fn dispatch<O: RunObserver, const FAULT_FREE: bool>(
                     if !FAULT_FREE && !ctx.active[n as usize] {
                         continue;
                     }
-                    if let Some(epoch) = nodes.set_flag(n, l.dst_port) {
-                        if record_arrivals {
-                            arrivals[n as usize].push(Arrival {
-                                at: now,
-                                from: l.src,
-                                port: l.dst_port,
-                            });
-                        }
-                        let dur = rng.duration_in(cfg.timing.link.lo, cfg.timing.link.hi);
-                        q.push(
-                            now + dur,
-                            Ev::LinkTimeout {
-                                node: n,
-                                port: l.dst_port,
-                                epoch,
-                            },
-                        );
+                    if arm_flag(n, l.dst_port, now, ctx.cfg.timing.link, nodes, q, rng) {
+                        obs.on_arrival(n, l.dst_port, l.src, now);
                         maybe_fire::<O, FAULT_FREE>(n, now, ctx, nodes, obs, q, rng);
                     }
                 }
@@ -1196,17 +1158,7 @@ fn apply_transition<O: RunObserver>(
         if !ctx.active[lk.dst as usize] {
             continue;
         }
-        if let Some(epoch) = nodes.set_flag(lk.dst, lk.dst_port) {
-            let dur = rng.duration_in(cfg.timing.link.lo, cfg.timing.link.hi);
-            q.push(
-                now + dur,
-                Ev::LinkTimeout {
-                    node: lk.dst,
-                    port: lk.dst_port,
-                    epoch,
-                },
-            );
-        }
+        arm_flag(lk.dst, lk.dst_port, now, cfg.timing.link, nodes, q, rng);
         maybe_fire::<O, false>(lk.dst, now, &ctx, nodes, obs, q, rng);
     }
 
@@ -1215,17 +1167,7 @@ fn apply_transition<O: RunObserver>(
     if let FaultEvent::Heal(node, _) = tr.event {
         for (port, &l) in graph.in_links(node).iter().enumerate() {
             if ctx.behaviors[l as usize] == LinkBehavior::StuckOne {
-                if let Some(epoch) = nodes.set_flag(node, port as u8) {
-                    let dur = rng.duration_in(cfg.timing.link.lo, cfg.timing.link.hi);
-                    q.push(
-                        now + dur,
-                        Ev::LinkTimeout {
-                            node,
-                            port: port as u8,
-                            epoch,
-                        },
-                    );
-                }
+                arm_flag(node, port as u8, now, cfg.timing.link, nodes, q, rng);
             }
         }
         if ctx.active[node as usize] {
@@ -1309,18 +1251,39 @@ fn refresh_stuck_one(
         return; // no stuck-at-1 links anywhere
     }
     let l = ctx.graph.in_links(node)[port as usize];
-    if ctx.behaviors[l as usize] != LinkBehavior::StuckOne {
-        return;
+    if ctx.behaviors[l as usize] == LinkBehavior::StuckOne {
+        arm_flag(node, port, now, ctx.cfg.timing.link, nodes, q, rng);
     }
-    if let Some(epoch) = nodes.set_flag(node, port) {
-        let dur = rng.duration_in(ctx.cfg.timing.link.lo, ctx.cfg.timing.link.hi);
-        q.push(now + dur, Ev::LinkTimeout { node, port, epoch });
-    }
+}
+
+/// Set `node`'s memory flag on `port` and, if it was clear, schedule its
+/// expiry a `link = [T−_link, T+_link]` draw from `rng` after `now`.
+/// Returns whether the flag was newly set. Every flag a message or a
+/// stuck-at-1 link sets goes through here; only arbitrary-state seeding
+/// (initial or on rejoin) sets flags directly.
+fn arm_flag(
+    node: NodeId,
+    port: u8,
+    now: Time,
+    link: DelayRange,
+    nodes: &mut SoaNodes,
+    q: &mut CalendarQueue<Ev>,
+    rng: &mut SimRng,
+) -> bool {
+    let Some(epoch) = nodes.set_flag(node, port) else {
+        return false;
+    };
+    q.push(
+        now + rng.duration_in(link.lo, link.hi),
+        Ev::LinkTimeout { node, port, epoch },
+    );
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::ArrivalLog;
     use hex_core::{HexGrid, NodeFault, D_MINUS, D_PLUS};
     use hex_des::Schedule;
 
@@ -1851,12 +1814,13 @@ mod tests {
 
     /// The batching wall: the production driver (bucket batches spanning
     /// `min_increment`, the fault-free kernel whenever a window allows it)
-    /// replays the one-instant reference — trace, arrivals and popped/stale
-    /// counters — in the four regimes that shape the kernel differently:
-    /// fault-free, Byzantine, arbitrary-init multi-pulse (pre-loop
-    /// residuals shorter than the batch span, heavy stale churn), and a
-    /// script mixing every transition kind with two transitions at one
-    /// instant. Each side carries its own dirty scratch across regimes.
+    /// replays the one-instant reference — trace, the stream of
+    /// flag-setting arrivals and popped/stale counters — in the four
+    /// regimes that shape the kernel differently: fault-free, Byzantine,
+    /// arbitrary-init multi-pulse (pre-loop residuals shorter than the
+    /// batch span, heavy stale churn), and a script mixing every
+    /// transition kind with two transitions at one instant. Each side
+    /// carries its own dirty scratch across regimes.
     #[test]
     fn batched_driver_matches_one_instant_reference() {
         use hex_clock::{PulseTrain, Scenario};
@@ -1889,18 +1853,10 @@ mod tests {
             .with(Time::from_ns(1_100.0), FaultEvent::LinkUp(5));
         let tight = SimConfig {
             timing: Timing::paper_scenario_iii(),
-            record_arrivals: true,
             ..SimConfig::fault_free()
         };
         let regimes: Vec<(&str, SimConfig, &Schedule)> = vec![
-            (
-                "fault-free",
-                SimConfig {
-                    record_arrivals: true,
-                    ..SimConfig::fault_free()
-                },
-                &single,
-            ),
+            ("fault-free", SimConfig::fault_free(), &single),
             (
                 "byzantine",
                 SimConfig {
@@ -1938,6 +1894,12 @@ mod tests {
                     (reference.popped_events(), reference.stale_events()),
                     "{name}/seed {seed}: work counters diverged"
                 );
+                let (mut want, mut got) = (ArrivalLog::default(), ArrivalLog::default());
+                let graph = grid.graph();
+                reference.run::<_, true>(graph, sched, cfg, seed, &mut want);
+                production.run::<_, false>(graph, sched, cfg, seed, &mut got);
+                assert!(!want.0.is_empty(), "{name}/seed {seed}: no arrivals");
+                assert_eq!(got, want, "{name}/seed {seed}: arrivals diverged");
             }
         }
     }

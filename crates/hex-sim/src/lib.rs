@@ -18,10 +18,16 @@
 //!   triggering-time matrices the paper's statistics are computed from
 //!   (the materialized reference path);
 //! * [`observe::RunObserver`] / [`observe::PulseBinner`] — the streaming
-//!   extraction path: the engine's fire-recording hook as a sealed
-//!   abstraction, with an observer that bins firings to pulses online so
-//!   batch statistics never materialize traces or view matrices
-//!   ([`engine::simulate_observed_into`], `RunSpec::fold_observed`);
+//!   extraction path: the engine's per-event hooks (firings, flag-setting
+//!   arrivals) as a sealed abstraction, with an observer that bins
+//!   firings to pulses online so batch statistics never materialize
+//!   traces or view matrices ([`engine::simulate_observed_into`],
+//!   `RunSpec::fold_observed`);
+//! * [`engine::check_model`] — the model check: one run under an observer
+//!   that holds every event to the paper's Section 2 model (sleep
+//!   separation, source conformance, fault silence, delay bounds, guard
+//!   support, the `d−` causal floor) and returns the first
+//!   [`observe::Violation`];
 //! * [`spec::RunSpec`] — the declarative experiment vocabulary: grid
 //!   shape, layer-0 scenario, fault regime, Table-3 timing, init states,
 //!   pulse count and per-run seed policy in one buildable description.
@@ -42,7 +48,6 @@
 pub mod batch;
 pub mod canon;
 pub mod engine;
-pub mod invariants;
 pub mod knobs;
 pub mod observe;
 pub mod soa;
@@ -52,9 +57,10 @@ pub mod vcd;
 
 pub use batch::{run_batch, run_batch_fold, run_batch_fold_with, Reducer};
 pub use engine::{
-    simulate, simulate_into, simulate_observed_into, InitState, QueuePolicy, SimConfig, SimScratch,
+    check_model, simulate, simulate_into, simulate_observed_into, InitState, QueuePolicy,
+    SimConfig, SimScratch,
 };
-pub use observe::{PulseBinner, RunObserver};
+pub use observe::{CheckStats, PulseBinner, RunObserver, Violation};
 pub use spec::{FaultRegime, RunSpec, RunView, TimingPolicy};
 pub use trace::{assign_pulses, PulseView, Trace};
 pub use vcd::{vcd_document, VcdOptions};

@@ -480,7 +480,6 @@ impl RunSpec {
             script: self.faults.script().cloned(),
             init: self.init,
             horizon: None,
-            record_arrivals: false,
         };
         RunInputs {
             seed,

@@ -16,27 +16,12 @@
 use hex_core::{HexGrid, NodeId, TriggerCause};
 use hex_des::{Duration, Schedule, Time};
 
-/// A recorded flag-setting message arrival (provenance record; only
-/// populated when [`crate::SimConfig::record_arrivals`] is set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Arrival {
-    /// Delivery time.
-    pub at: Time,
-    /// Sending node.
-    pub from: NodeId,
-    /// Receiving port.
-    pub port: u8,
-}
-
 /// The raw output of one simulation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Per node: chronological `(time, cause)` firing records. Faulty nodes
     /// have no records.
     pub fires: Vec<Vec<(Time, TriggerCause)>>,
-    /// Per node: flag-setting message arrivals (empty unless
-    /// `record_arrivals` was requested).
-    pub arrivals: Vec<Vec<Arrival>>,
     /// The faulty node ids of this run (ascending).
     pub faulty: Vec<NodeId>,
     /// The simulation end time that was enforced.
@@ -44,20 +29,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Empty all recorded data while keeping the per-node vectors (and
-    /// their capacities) alive, so the next run refills without new
-    /// trace-sized allocations. The node count is preserved.
-    pub fn clear(&mut self) {
-        for f in &mut self.fires {
-            f.clear();
-        }
-        for a in &mut self.arrivals {
-            a.clear();
-        }
-        self.faulty.clear();
-        self.horizon = Time::ZERO;
-    }
-
     /// Total number of firings across all nodes.
     pub fn total_fires(&self) -> usize {
         self.fires.iter().map(Vec::len).sum()

@@ -140,7 +140,6 @@ fn scripted_runs_serialize_byte_identical_through_a_dirty_scratch() {
         script: Some(script),
         timing: Timing::paper_scenario_iii(),
         init: InitState::Arbitrary,
-        record_arrivals: true,
         ..SimConfig::fault_free()
     };
 
@@ -159,7 +158,6 @@ fn scripted_runs_serialize_byte_identical_through_a_dirty_scratch() {
         &SimConfig {
             faults: FaultPlan::none().with_node(decoy_grid.node(2, 1), NodeFault::FailSilent),
             timing: Timing::paper_scenario_iii(),
-            record_arrivals: true,
             ..SimConfig::fault_free()
         },
         999,
@@ -217,7 +215,6 @@ fn golden_regime(name: &str, grid: &HexGrid) -> (Schedule, SimConfig) {
         PulseTrain::new(Scenario::Zero, 3, Duration::from_ns(300.0)).generate(width, &mut rng);
     let base = SimConfig {
         timing: Timing::paper_scenario_iii(),
-        record_arrivals: true,
         ..SimConfig::fault_free()
     };
     match name {
@@ -554,7 +551,6 @@ fn dirty_scratch_runs_serialize_byte_identical_to_fresh() {
             "fault-free",
             SimConfig {
                 timing: Timing::paper_scenario_iii(),
-                record_arrivals: true,
                 ..SimConfig::fault_free()
             },
             &sched,
@@ -564,7 +560,6 @@ fn dirty_scratch_runs_serialize_byte_identical_to_fresh() {
             SimConfig {
                 faults: FaultPlan::none().with_node(grid.node(4, 2), NodeFault::Byzantine),
                 timing: Timing::paper_scenario_iii(),
-                record_arrivals: true,
                 ..SimConfig::fault_free()
             },
             &sched,
@@ -575,7 +570,6 @@ fn dirty_scratch_runs_serialize_byte_identical_to_fresh() {
                 faults: mixed,
                 timing: Timing::paper_scenario_iii(),
                 init: InitState::Arbitrary,
-                record_arrivals: true,
                 ..SimConfig::fault_free()
             },
             &multi,
@@ -590,7 +584,6 @@ fn dirty_scratch_runs_serialize_byte_identical_to_fresh() {
         faults: FaultPlan::none().with_node(decoy_grid.node(2, 1), NodeFault::FailSilent),
         init: InitState::AllFlagsSet,
         timing: Timing::paper_scenario_iii(),
-        record_arrivals: true,
         ..SimConfig::fault_free()
     };
     simulate_into(

@@ -369,15 +369,42 @@ mod tests {
         );
     }
 
+    /// `fnv1a_64` over a delay table's picoseconds.
+    fn table_hash(table: &[Duration]) -> u64 {
+        let bytes: Vec<u8> = table.iter().flat_map(|d| d.ps().to_le_bytes()).collect();
+        hex_sim::canon::fnv1a_64(&bytes)
+    }
+
+    /// Golden pins: `(seed, skew ps, initial skew ps, accepted moves, delay
+    /// table hash, next RNG draw)` of the fault-free climber on a 6×6 grid.
+    /// The climber accepts no move here, so only the draw after the search
+    /// shows a change of its RNG stream.
     #[test]
     fn search_is_deterministic_given_seed() {
+        #[rustfmt::skip]
+        const PINS: &[(u64, i64, i64, usize, u64, usize)] = &[
+            (11, 4144, 4144, 0, 0x8025426203effc25, 601210),
+            (12, 4144, 4144, 0, 0x8025426203effc25, 956871),
+        ];
         let grid = HexGrid::new(6, 6);
         let delays = DelayRange::paper();
-        let run = |seed| {
+        for &(seed, skew, initial, accepted, table, next) in PINS {
             let mut rng = SimRng::seed_from_u64(seed);
-            worst_case_search(&grid, 6, delays, 50, &mut rng).skew
-        };
-        assert_eq!(run(11), run(11));
+            let r = worst_case_search(&grid, 6, delays, 50, &mut rng);
+            let observed = (
+                seed,
+                r.skew.ps(),
+                r.initial_skew.ps(),
+                r.accepted,
+                table_hash(&r.delays),
+                rng.index(1 << 20),
+            );
+            assert_eq!(
+                observed,
+                (seed, skew, initial, accepted, table, next),
+                "fault-free climber drifted from its golden pin"
+            );
+        }
     }
 
     /// Ramp offsets for the Byzantine search tests (the Fig.-17 regime).
@@ -441,16 +468,38 @@ mod tests {
         );
     }
 
+    /// Golden pins: `(seed, skew ps, initial skew ps, accepted moves, delay
+    /// table hash, behaviors hash, next RNG draw)` of the Byzantine climber
+    /// on a 6×8 grid.
     #[test]
     fn byzantine_search_is_deterministic() {
+        #[rustfmt::skip]
+        const PINS: &[(u64, i64, i64, usize, u64, u64, usize)] = &[
+            (5, 10269, 8197, 2, 0x6421a0a2511ffa95, 0x3dc516e60f3757fd, 161309),
+            (9, 11305, 8197, 3, 0x4eb3354a9d835745, 0xbbbf64b3f8464cdb, 110158),
+        ];
         let grid = HexGrid::new(6, 8);
         let delays = DelayRange::paper();
         let fault = grid.node(2, 3);
         let offsets = ramp_offsets(8, delays.hi);
-        let run = |seed| {
+        for &(seed, skew, initial, accepted, table, behaviors, next) in PINS {
             let mut rng = SimRng::seed_from_u64(seed);
-            byzantine_worst_case_search(&grid, 3, fault, offsets.clone(), delays, 40, &mut rng).skew
-        };
-        assert_eq!(run(5), run(5));
+            let r =
+                byzantine_worst_case_search(&grid, 3, fault, offsets.clone(), delays, 40, &mut rng);
+            let observed = (
+                seed,
+                r.skew.ps(),
+                r.initial_skew.ps(),
+                r.accepted,
+                table_hash(&r.delays),
+                hex_sim::canon::fnv1a_64(format!("{:?}", r.behaviors).as_bytes()),
+                rng.index(1 << 20),
+            );
+            assert_eq!(
+                observed,
+                (seed, skew, initial, accepted, table, behaviors, next),
+                "Byzantine climber drifted from its golden pin"
+            );
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! constructions behave as analyzed.
 
 use hexclock::analysis::causal::{
-    cause_counts, check_lemma1_prefixes, check_lemma2, left_zigzag, ZigZagEnd,
+    cause_counts, check_lemma1_prefixes, check_lemma2, left_zigzag, ZigZag, ZigZagEnd, ZigZagLink,
 };
 use hexclock::prelude::*;
 use hexclock::theory::adversary::{byzantine_ramp, fault_free_worst_case, ByzProfile};
@@ -21,34 +21,88 @@ fn view_for(scenario: Scenario, seed: u64) -> (HexGrid, PulseView) {
     (grid.clone(), PulseView::from_single_pulse(&grid, &trace))
 }
 
+/// Appends a path's nodes, links and termination to a fingerprint.
+fn push_path(out: &mut Vec<u8>, zz: &ZigZag) {
+    for &(layer, col) in &zz.nodes {
+        out.extend(layer.to_le_bytes());
+        out.extend(col.to_le_bytes());
+    }
+    out.extend(zz.links.iter().map(|link| match link {
+        ZigZagLink::Rightward => b'R',
+        ZigZagLink::UpLeft => b'U',
+    }));
+    out.push(match zz.end {
+        ZigZagEnd::Triangular => b'T',
+        ZigZagEnd::NonTriangular => b'N',
+    });
+}
+
+/// Lemmas 1 and 2 hold on every zig-zag path of the sweep, and the paths
+/// themselves are pinned to committed values: each row holds `fnv1a_64`
+/// over every path's nodes, links and termination with its Lemma-1 result
+/// and Lemma-2 prefix count, and the scenario's Lemma-2 total. Scenarios
+/// (i)–(iii) yield the same paths, so their rows agree. A deliberate
+/// change of the construction is re-pinned by hand from the observed rows
+/// the failure message prints.
 #[test]
 fn lemma1_and_lemma2_hold_across_scenarios() {
+    use hexclock::sim::canon::fnv1a_64;
+
+    #[rustfmt::skip]
+    const PINS: &[(&str, u64, usize)] = &[
+        // (scenario, paths hash, Lemma-2 prefixes checked)
+        ("i",   0xb2ea5e01ea5df225, 288),
+        ("ii",  0xb2ea5e01ea5df225, 288),
+        ("iii", 0xb2ea5e01ea5df225, 288),
+        ("iv",  0x9ad535fd64c3a036, 281),
+    ];
+
     let mut checked = 0usize;
-    for scenario in Scenario::ALL {
+    let mut drifted = Vec::new();
+    for (scenario, &(slug, hash, pinned)) in Scenario::ALL.into_iter().zip(PINS) {
+        assert_eq!(slug, scenario.slug());
+        let mut bytes = Vec::new();
+        let mut here = 0usize;
         for seed in 0..8u64 {
             let (grid, view) = view_for(scenario, 4000 + seed);
-            for layer in [L / 2, L] {
+            for layer in [2, L / 2, L] {
                 for col in 0..W as i64 {
-                    let Some(zz) = left_zigzag(&grid, &view, layer, col, col + 1) else {
-                        continue;
-                    };
+                    let zz = left_zigzag(&grid, &view, layer, col, col + 1)
+                        .expect("fault-free paths exist");
+                    let lemma1 = check_lemma1_prefixes(&zz);
                     assert!(
-                        check_lemma1_prefixes(&zz),
+                        lemma1,
                         "{} seed {seed} ({layer},{col}): Lemma 1 prefix property",
                         scenario.label()
                     );
-                    match check_lemma2(&grid, &view, &zz, D_MINUS, EPSILON) {
-                        Ok(n) => checked += n,
-                        Err(k) => panic!(
+                    let n = check_lemma2(&grid, &view, &zz, D_MINUS, EPSILON).unwrap_or_else(|k| {
+                        panic!(
                             "{} seed {seed} ({layer},{col}): Lemma 2 violated at prefix {k}",
                             scenario.label()
-                        ),
-                    }
+                        )
+                    });
+                    push_path(&mut bytes, &zz);
+                    bytes.push(lemma1 as u8);
+                    bytes.extend((n as u64).to_le_bytes());
+                    here += n;
                 }
             }
         }
+        checked += here;
+        let observed = (fnv1a_64(&bytes), here);
+        if observed != (hash, pinned) {
+            drifted.push(format!(
+                "(\"{slug}\", {:#018x}, {}),",
+                observed.0, observed.1
+            ));
+        }
     }
     assert!(checked > 50, "only {checked} triangular prefixes exercised");
+    assert!(
+        drifted.is_empty(),
+        "zig-zag paths drifted from the golden pins; observed rows:\n{}",
+        drifted.join("\n")
+    );
 }
 
 #[test]

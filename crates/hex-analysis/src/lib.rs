@@ -15,12 +15,12 @@
 //! * [`stabilization`] — the stabilization-time estimator of Section 4.4
 //!   (minimal pulse from which all layer skews persistently satisfy a
 //!   layer-dependent bound);
-//! * [`causal`] — Definition 1/2 machinery: trigger-cause classification,
-//!   left zig-zag path construction, and executable checks of Lemma 1 and
-//!   Lemma 2 against simulated executions;
-//! * [`causal_faulty`] — the Appendix-A fault-avoiding variant of the same
-//!   machinery: evasion steps around Byzantine nodes, target-column shifts,
-//!   and the relaxed (`O(d+)`-slack) Lemma 2 check;
+//! * [`causal`] — Definition 1/2 machinery and its Appendix-A extension:
+//!   trigger-cause classification, one left zig-zag construction that
+//!   evades faulty nodes (an empty fault set gives Definition 2's path),
+//!   target-column shifts, and executable checks of Lemma 1, link
+//!   causality and Lemma 2 (with `O(d+)` slack per detour or fault) against
+//!   simulated executions;
 //! * [`crash`] — crash-cluster geometry (Section 3.2): exact starvation
 //!   shadows of dead sets, measured starved sets, hop-distance classes for
 //!   blast-radius plots;
@@ -47,7 +47,6 @@
 
 pub mod boxplot;
 pub mod causal;
-pub mod causal_faulty;
 pub mod crash;
 pub mod emit;
 pub mod histogram;

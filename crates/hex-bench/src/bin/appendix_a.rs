@@ -5,23 +5,23 @@
 //! This driver sweeps the fault position over layers and columns, measures
 //! the worst observed intra-layer skew (with `h ∈ {0, 1}` exclusion), and
 //! compares it against the executable Appendix-A bound
-//! (`hex_theory::appendix_a::single_fault_intra_bound`). It also exercises
-//! the fault-avoiding causal-path machinery
-//! (`hex_analysis::causal_faulty`) on every run: construction success,
-//! causality of every link, the relaxed Lemma 2, and detour statistics.
+//! (`hex_theory::appendix_a::single_fault_intra_bound`). It also builds a
+//! fault-avoiding left zig-zag path (`hex_analysis::causal`) to every
+//! probed correct node of the first runs and checks it: construction
+//! success, causality of every link, the relaxed Lemma 2, and detour
+//! statistics.
 //!
 //! ```text
 //! cargo run --release -p hex-bench --bin appendix_a
 //! ```
 
-use hex_analysis::causal_faulty::{
-    check_causality, check_lemma2_relaxed, collect_avoid_stats, left_zigzag_with_shift, AvoidStats,
-    FaultSet,
+use hex_analysis::causal::{
+    check_causality, check_lemma2, left_zigzag_with_shift, AvoidStats, FaultSet,
 };
 use hex_analysis::skew::{exclusion_mask, per_layer_max_intra};
 use hex_bench::{FaultRegime, RunSpec};
 use hex_clock::Scenario;
-use hex_core::{FaultPlan, NodeFault, D_MINUS, D_PLUS, EPSILON};
+use hex_core::{DelayRange, FaultPlan, NodeFault, D_MINUS, D_PLUS};
 use hex_des::{Duration, SimRng};
 use hex_theory::appendix_a::{single_fault_intra_bound, LEMMA2_DETOUR_HOPS, SINGLE_FAULT_HOPS};
 use hex_theory::Theorem1;
@@ -54,7 +54,7 @@ fn sweep(base: &RunSpec, scenario: Scenario) {
     let thm = Theorem1 {
         width: base.width,
         length: base.length,
-        delays: hex_core::DelayRange::paper(),
+        delays: DelayRange::paper(),
         potential0: pot,
     };
 
@@ -84,7 +84,7 @@ fn sweep(base: &RunSpec, scenario: Scenario) {
         let mut worst_h0 = Duration::ZERO;
         let mut worst_h1 = Duration::ZERO;
         let mut worst_bound = Duration::ZERO;
-        let mut detours_here = 0usize;
+        let mut stats_here = AvoidStats::default();
         for &fc in &fault_cols {
             let victim = grid.node(fl, fc as i64);
             let spec = base
@@ -123,9 +123,6 @@ fn sweep(base: &RunSpec, scenario: Scenario) {
                 // from far above rarely meets a single fault).
                 if run < 8 {
                     for probe in [base.length, (fl + 1).min(base.length)] {
-                        let stats = collect_avoid_stats(&grid, view, &fs, probe);
-                        detours_here += stats.detour_links;
-                        merge(&mut stats_total, &stats);
                         for col in 0..base.width as i64 {
                             if fs.contains(&grid, probe, col) {
                                 continue;
@@ -135,18 +132,16 @@ fn sweep(base: &RunSpec, scenario: Scenario) {
                                     .expect("fault-avoiding path exists");
                             causality_checked += check_causality(view, &path, D_MINUS)
                                 .unwrap_or_else(|k| panic!("non-causal link {k}"));
-                            lemma2_checked += check_lemma2_relaxed(
+                            lemma2_checked += check_lemma2(
                                 &grid,
                                 view,
                                 &fs,
                                 &path,
-                                col + shift,
-                                D_MINUS,
-                                D_PLUS,
-                                EPSILON,
+                                thm.delays,
                                 LEMMA2_DETOUR_HOPS,
                             )
                             .unwrap_or_else(|k| panic!("relaxed Lemma 2 violated at prefix {k}"));
+                            stats_here.record(&path, shift);
                         }
                         if probe == base.length && fl + 1 >= base.length {
                             break; // same layer, don't double count
@@ -167,8 +162,9 @@ fn sweep(base: &RunSpec, scenario: Scenario) {
             worst_bound.ns(),
             ratio,
             worst_h1.ns(),
-            detours_here
+            stats_here.detour_links
         );
+        stats_total.merge(&stats_here);
     }
 
     println!(
@@ -187,15 +183,4 @@ fn sweep(base: &RunSpec, scenario: Scenario) {
         stats_total.triangular,
         stats_total.layer0
     );
-}
-
-fn merge(into: &mut AvoidStats, from: &AvoidStats) {
-    into.paths += from.paths;
-    into.with_detours += from.with_detours;
-    into.detour_links += from.detour_links;
-    for k in 0..3 {
-        into.shifts[k] += from.shifts[k];
-    }
-    into.triangular += from.triangular;
-    into.layer0 += from.layer0;
 }

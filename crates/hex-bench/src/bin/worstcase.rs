@@ -10,7 +10,7 @@ use hex_des::{SimRng, Time};
 use hex_theory::adversary::fault_free_worst_case;
 use hex_theory::appendix_a::single_fault_intra_bound;
 use hex_theory::bounds::Theorem1;
-use hex_theory::search::{byzantine_worst_case_search, random_baseline, worst_case_search};
+use hex_theory::search::{random_baseline, worst_case_search};
 
 fn main() {
     let delays = DelayRange::paper();
@@ -24,7 +24,9 @@ fn main() {
     let mut searched = hex_des::Duration::ZERO;
     for seed in 0..6u64 {
         let mut rng = SimRng::seed_from_u64(seed);
-        searched = searched.max(worst_case_search(&grid, l, delays, 400, &mut rng).skew);
+        let zeros = vec![Time::ZERO; w as usize];
+        searched =
+            searched.max(worst_case_search(&grid, l, None, zeros, delays, 400, &mut rng).skew);
     }
 
     // 3. The hand construction of Fig. 5 (barrier + skew potential).
@@ -96,10 +98,10 @@ fn main() {
     let mut byz_initial = hex_des::Duration::ZERO;
     for seed in 0..4u64 {
         let mut rng = SimRng::seed_from_u64(100 + seed);
-        let r = byzantine_worst_case_search(
+        let r = worst_case_search(
             &grid,
             probe_layer,
-            fault,
+            Some(fault),
             ramp.clone(),
             delays,
             300,

@@ -102,8 +102,10 @@ pub struct SimConfig {
     /// Initial state regime.
     pub init: InitState,
     /// Hard simulation end time. `None` derives a horizon generous enough
-    /// for the whole schedule to propagate through the grid (see
-    /// [`SimConfig::auto_horizon`]).
+    /// for the whole schedule to propagate through the grid: the last
+    /// scheduled source pulse, plus `depth + faults + 2` hops at `2·d+`
+    /// each (Lemma 5's worst-case propagation allowance), plus two full
+    /// sleep periods of slack.
     pub horizon: Option<Time>,
     /// Dynamic fault timeline: scheduled [`FaultTransition`]s that flip
     /// the hoisted `active`/`faulty` bitmasks (and the link-behaviour
@@ -154,10 +156,13 @@ impl SimConfig {
         }
     }
 
-    /// Derive a horizon: last scheduled source pulse, plus `depth + faults +
-    /// 2` hops at `2·d+` each (Lemma 5's worst-case propagation allowance),
-    /// plus two full sleep periods of slack.
-    pub fn auto_horizon(&self, graph: &PulseGraph, schedule: &Schedule) -> Time {
+    /// The end time a run of `schedule` on `graph` enforces:
+    /// [`SimConfig::horizon`], else the horizon derived as that field
+    /// describes.
+    pub(crate) fn horizon_on(&self, graph: &PulseGraph, schedule: &Schedule) -> Time {
+        if let Some(horizon) = self.horizon {
+            return horizon;
+        }
         let depth = graph
             .node_ids()
             .filter_map(|n| graph.coord(n))
@@ -172,13 +177,6 @@ impl SimConfig {
         let d_plus = self.delays.envelope().hi;
         let f = self.faults.fault_count() as i64;
         last + d_plus.times(2 * (depth + f + 2)) + self.timing.sleep.hi.times(2)
-    }
-
-    /// The end time a run of `schedule` on `graph` enforces:
-    /// [`SimConfig::horizon`], else [`SimConfig::auto_horizon`].
-    pub(crate) fn horizon_on(&self, graph: &PulseGraph, schedule: &Schedule) -> Time {
-        self.horizon
-            .unwrap_or_else(|| self.auto_horizon(graph, schedule))
     }
 
     /// The largest increment this configuration ever schedules ahead of

@@ -65,10 +65,11 @@ pub fn faulty_inter_envelope(
     )
 }
 
-/// The slack budget (in `d+`-hops) that the relaxed Lemma-2 check of
-/// `hex_analysis::causal_faulty` grants per detour link. Three suffices:
-/// an evasion step replaces at most a three-hop segment of the regular
-/// construction (Fig. A.22's worst case routes via column `i + 3`).
+/// The slack budget (in `d+`-hops) that the Lemma-2 check of
+/// `hex_analysis::causal` grants per detour link and per fault inside a
+/// prefix's triangle. Three suffices: an evasion step replaces at most a
+/// three-hop segment of the regular construction (Fig. A.22's worst case
+/// routes via column `i + 3`).
 pub const LEMMA2_DETOUR_HOPS: i64 = 3;
 
 #[cfg(test)]

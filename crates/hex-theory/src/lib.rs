@@ -17,10 +17,19 @@
 //!   neighbor skew);
 //! * [`appendix_a`] — the Appendix-A degradation bounds: how much a single
 //!   (or `f` separated) Byzantine fault(s) can add to the Theorem-1 skew
-//!   bounds, with the `O(d+)` constants made explicit.
+//!   bounds, with the `O(d+)` constants made explicit;
+//! * [`condition1`] — the Section-3.2 lower bound on the probability that
+//!   `f` random faults satisfy Condition 1, and the fault density it
+//!   implies;
+//! * [`limits`] — the global- and gradient-skew lower bounds the
+//!   introduction measures HEX against;
+//! * [`search`] — a hill climber over per-link delay tables (and one
+//!   Byzantine node's link behaviors) that searches for worst-case
+//!   executions by running the simulator.
 //!
-//! Everything here is pure arithmetic on the paper's parameters; the
-//! benches cross-check these numbers against simulated executions.
+//! Everything except [`search`] is pure arithmetic on the paper's
+//! parameters; the benches and [`search`] cross-check these numbers
+//! against simulated executions.
 //!
 //! ```
 //! use hex_core::{DelayRange, D_PLUS};

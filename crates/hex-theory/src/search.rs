@@ -1,13 +1,15 @@
 //! Automated worst-case search: a randomized hill climber over
-//! deterministic delay assignments.
+//! deterministic delay assignments and, with a Byzantine node, over that
+//! node's per-link behavior.
 //!
 //! The paper notes that "it is possible to construct, by deterministically
 //! choosing appropriate link delays, worst-case executions that almost
 //! match the bounds established in Lemma 4" — Fig. 5 is hand-crafted. This
 //! module searches for such executions automatically: starting from a
-//! random `{d−, d+}` assignment, it flips link delays, keeps changes that
-//! increase the skew of a chosen neighbor pair, and reports the best
-//! execution found. The search certifies two things at once:
+//! structured `{d−, d+}` assignment, it flips link delays (and fault
+//! behaviors), keeps changes that do not decrease the worst neighbor skew
+//! of a chosen layer, and reports the best execution found. The search
+//! certifies two things at once:
 //!
 //! * **tightness** — how much of the Theorem-1 bound is *reachable* (the
 //!   hill climber typically finds multiples of what random delays show);
@@ -15,130 +17,21 @@
 //!   the tests; a counterexample here would falsify the implementation or
 //!   the theorem).
 
-use hex_core::{DelayModel, DelayRange, FaultPlan, HexGrid};
+use hex_core::{DelayModel, DelayRange, FaultPlan, HexGrid, LinkBehavior, NodeFault, NodeId};
 use hex_des::{Duration, Schedule, SimRng, Time};
 use hex_sim::{simulate, PulseView, SimConfig};
 
 /// Result of a worst-case search.
 #[derive(Debug, Clone)]
 pub struct SearchResult {
-    /// The best (largest) neighbor skew found.
-    pub skew: Duration,
-    /// The per-link delay table realizing it.
-    pub delays: Vec<Duration>,
-    /// Skew of the initial random assignment (for improvement reporting).
-    pub initial_skew: Duration,
-    /// Accepted moves.
-    pub accepted: usize,
-    /// Total iterations.
-    pub iterations: usize,
-}
-
-/// Hill-climb link delays to maximize the worst adjacent-pair skew of
-/// `layer` (`max_i |t(layer, i) − t(layer, i+1)|`) on a fault-free grid
-/// with all sources firing at 0 (`Δ₀ = 0`, so the Theorem-1 steady bound
-/// applies).
-pub fn worst_case_search(
-    grid: &HexGrid,
-    layer: u32,
-    delays: DelayRange,
-    iterations: usize,
-    rng: &mut SimRng,
-) -> SearchResult {
-    let graph = grid.graph();
-    let link_count = graph.link_count();
-    let schedule = Schedule::single_pulse(vec![Time::ZERO; grid.width() as usize]);
-
-    let eval = |table: &[Duration]| -> Duration {
-        let cfg = SimConfig {
-            delays: DelayModel::PerLinkFixed(table.to_vec()),
-            ..SimConfig::fault_free()
-        };
-        // Deterministic delays: the seed only feeds (unused) timer jitter.
-        let trace = simulate(graph, &schedule, &cfg, 0);
-        let view = PulseView::from_single_pulse(grid, &trace);
-        let mut worst = Duration::ZERO;
-        for c in 0..grid.width() as i64 {
-            if let (Some(a), Some(b)) = (view.time(layer, c), view.time(layer, c + 1)) {
-                worst = worst.max(a.abs_diff(b));
-            }
-        }
-        worst
-    };
-
-    // Structured start (a Fig.-5-style split): links into receivers at or
-    // left of the focus column run fast, everything else slow. This puts
-    // the climber on the interesting ridge instead of a flat plateau.
-    let w = grid.width() as i64;
-    let focus = (w / 2) as u32;
-    let mut table: Vec<Duration> = (0..link_count as u32)
-        .map(|l| {
-            let dst = graph.link(l).dst;
-            let c = grid.coord_of(dst);
-            let dist_left = (focus as i64 - c.col as i64).rem_euclid(w);
-            if dist_left <= w / 2 {
-                delays.lo
-            } else {
-                delays.hi
-            }
-        })
-        .collect();
-    let initial_skew = eval(&table);
-    let mut best = initial_skew;
-    let mut current = initial_skew;
-    let mut best_table = table.clone();
-    let mut accepted = 0;
-
-    for _ in 0..iterations {
-        // Flip 1–3 random links.
-        let flips = 1 + rng.index(3);
-        let mut undo = Vec::with_capacity(flips);
-        for _ in 0..flips {
-            let l = rng.index(link_count);
-            undo.push((l, table[l]));
-            table[l] = if table[l] == delays.lo {
-                delays.hi
-            } else {
-                delays.lo
-            };
-        }
-        let skew = eval(&table);
-        if skew >= current {
-            // Plateau-tolerant acceptance: equal-fitness moves keep the
-            // walk alive across the piecewise-constant landscape.
-            current = skew;
-            if skew > best {
-                best = skew;
-                best_table.copy_from_slice(&table);
-                accepted += 1;
-            }
-        } else {
-            for (l, d) in undo.into_iter().rev() {
-                table[l] = d;
-            }
-        }
-    }
-
-    SearchResult {
-        skew: best,
-        delays: best_table,
-        initial_skew,
-        accepted,
-        iterations,
-    }
-}
-
-/// Result of a joint delay + Byzantine-behavior search.
-#[derive(Debug, Clone)]
-pub struct ByzSearchResult {
     /// The best (largest) neighbor skew found among correct pairs.
     pub skew: Duration,
     /// The per-link delay table realizing it.
     pub delays: Vec<Duration>,
     /// The fault's per-out-link behaviors realizing it (in
-    /// `out_links(fault)` order).
-    pub behaviors: Vec<hex_core::LinkBehavior>,
-    /// Skew of the starting point (the Fig.-17 profile).
+    /// `out_links(fault)` order); empty without a fault.
+    pub behaviors: Vec<LinkBehavior>,
+    /// Skew of the starting point (for improvement reporting).
     pub initial_skew: Duration,
     /// Accepted improving moves.
     pub accepted: usize,
@@ -146,36 +39,59 @@ pub struct ByzSearchResult {
     pub iterations: usize,
 }
 
-/// Jointly hill-climb the delay table **and** a single Byzantine node's
-/// per-out-link behavior to maximize the worst adjacent-pair skew of
-/// `layer` among correct nodes.
+/// The worst adjacent-pair skew `max_i |t(layer, i) − t(layer, i+1)|` of
+/// `view`, skipping the pairs that touch `fault`.
+fn layer_skew(grid: &HexGrid, view: &PulseView, layer: u32, fault: Option<NodeId>) -> Duration {
+    let w = grid.width() as i64;
+    let fault_col = fault
+        .map(|f| grid.coord_of(f))
+        .filter(|c| c.layer == layer)
+        .map(|c| c.col as i64);
+    let mut worst = Duration::ZERO;
+    for c in 0..w {
+        if fault_col.is_some_and(|fc| c == fc || (c + 1) % w == fc) {
+            continue;
+        }
+        if let (Some(a), Some(b)) = (view.time(layer, c), view.time(layer, c + 1)) {
+            worst = worst.max(a.abs_diff(b));
+        }
+    }
+    worst
+}
+
+/// Hill-climb link delays (and the per-out-link behavior of a Byzantine
+/// `fault`, if any) to maximize the worst adjacent-pair skew of `layer`
+/// among correct nodes, with the layer-0 schedule `offsets`.
 ///
-/// The climber starts from the paper's Fig.-17 profile — all delays `d+`,
-/// the fault stuck-1 towards its same-layer neighbors and stuck-0 towards
-/// its upper neighbors — and explores delay flips (`d−` ↔ `d+`) and
-/// behavior flips (stuck-0 ↔ stuck-1). `offsets` is the layer-0 schedule
-/// (pass a ramp for the Fig.-17 regime). The result is an executable
-/// witness for the Appendix-A degradation: tests assert it never exceeds
-/// `appendix_a::single_fault_intra_bound`.
-pub fn byzantine_worst_case_search(
+/// * **No fault**: the climber starts from a Fig.-5-style split and only
+///   flips link delays (`d−` ↔ `d+`). Pass zero offsets (`Δ₀ = 0`) so the
+///   Theorem-1 steady bound applies.
+/// * **One fault**: the climber starts from the paper's Fig.-17 profile —
+///   all delays `d+`, the fault stuck-1 towards its same-layer neighbors
+///   and stuck-0 towards its upper neighbors — and each move flips one
+///   behavior (stuck-0 ↔ stuck-1) with probability 0.3, else link delays.
+///   Pass a ramp for the Fig.-17 regime. The result is an executable
+///   witness for the Appendix-A degradation: tests assert it never exceeds
+///   `appendix_a::single_fault_intra_bound`.
+pub fn worst_case_search(
     grid: &HexGrid,
     layer: u32,
-    fault: hex_core::NodeId,
+    fault: Option<NodeId>,
     offsets: Vec<Time>,
     delays: DelayRange,
     iterations: usize,
     rng: &mut SimRng,
-) -> ByzSearchResult {
-    use hex_core::{LinkBehavior, NodeFault};
-
+) -> SearchResult {
     let graph = grid.graph();
     let link_count = graph.link_count();
     let schedule = Schedule::single_pulse(offsets);
-    let fault_coord = grid.coord_of(fault);
-    let out_links: Vec<u32> = graph.out_links(fault).to_vec();
+    let out_links = fault.map_or(&[][..], |f| graph.out_links(f));
 
     let eval = |table: &[Duration], behaviors: &[LinkBehavior]| -> Duration {
-        let mut plan = FaultPlan::none().with_node(fault, NodeFault::Byzantine);
+        let mut plan = FaultPlan::none();
+        if let Some(f) = fault {
+            plan = plan.with_node(f, NodeFault::Byzantine);
+        }
         for (&l, &b) in out_links.iter().zip(behaviors) {
             plan = plan.with_link(l, b);
         }
@@ -184,38 +100,48 @@ pub fn byzantine_worst_case_search(
             faults: plan,
             ..SimConfig::fault_free()
         };
+        // Deterministic delays and behaviors: the seed only feeds (unused)
+        // timer jitter.
         let trace = simulate(graph, &schedule, &cfg, 0);
         let view = PulseView::from_single_pulse(grid, &trace);
-        let mut worst = Duration::ZERO;
-        for c in 0..grid.width() as i64 {
-            // Skip pairs touching the fault itself.
-            if layer == fault_coord.layer {
-                let w = grid.width() as i64;
-                let fc = fault_coord.col as i64;
-                if c.rem_euclid(w) == fc || (c + 1).rem_euclid(w) == fc {
-                    continue;
-                }
-            }
-            if let (Some(a), Some(b)) = (view.time(layer, c), view.time(layer, c + 1)) {
-                worst = worst.max(a.abs_diff(b));
-            }
-        }
-        worst
+        layer_skew(grid, &view, layer, fault)
     };
 
-    // Fig.-17 starting profile.
-    let mut table = vec![delays.hi; link_count];
-    let mut behaviors: Vec<LinkBehavior> = out_links
-        .iter()
-        .map(|&l| {
-            let dst = graph.link(l).dst;
-            if grid.coord_of(dst).layer == fault_coord.layer {
-                LinkBehavior::StuckOne
-            } else {
-                LinkBehavior::StuckZero
-            }
-        })
-        .collect();
+    let (mut table, mut behaviors): (Vec<Duration>, Vec<LinkBehavior>) = match fault {
+        // Fig.-5-style split: links into receivers at or left of the focus
+        // column run fast, everything else slow. This puts the climber on
+        // the interesting ridge instead of a flat plateau.
+        None => {
+            let w = grid.width() as i64;
+            let focus = w / 2;
+            let table = (0..link_count as u32)
+                .map(|l| {
+                    let c = grid.coord_of(graph.link(l).dst);
+                    if (focus - c.col as i64).rem_euclid(w) <= w / 2 {
+                        delays.lo
+                    } else {
+                        delays.hi
+                    }
+                })
+                .collect();
+            (table, Vec::new())
+        }
+        // Fig.-17 profile.
+        Some(f) => {
+            let fault_layer = grid.coord_of(f).layer;
+            let behaviors = out_links
+                .iter()
+                .map(|&l| {
+                    if grid.coord_of(graph.link(l).dst).layer == fault_layer {
+                        LinkBehavior::StuckOne
+                    } else {
+                        LinkBehavior::StuckZero
+                    }
+                })
+                .collect();
+            (vec![delays.hi; link_count], behaviors)
+        }
+    };
 
     let initial_skew = eval(&table, &behaviors);
     let mut current = initial_skew;
@@ -225,6 +151,8 @@ pub fn byzantine_worst_case_search(
     let mut accepted = 0;
 
     for _ in 0..iterations {
+        // Without a fault no behavior coin is drawn, so every move flips
+        // 1–3 random links.
         let flip_behavior = !out_links.is_empty() && rng.chance(0.3);
         let mut undo_links: Vec<(usize, Duration)> = Vec::new();
         let mut undo_behavior: Option<(usize, LinkBehavior)> = None;
@@ -249,6 +177,8 @@ pub fn byzantine_worst_case_search(
         }
         let skew = eval(&table, &behaviors);
         if skew >= current {
+            // Plateau-tolerant acceptance: equal-fitness moves keep the
+            // walk alive across the piecewise-constant landscape.
             current = skew;
             if skew > best {
                 best = skew;
@@ -266,7 +196,7 @@ pub fn byzantine_worst_case_search(
         }
     }
 
-    ByzSearchResult {
+    SearchResult {
         skew: best,
         delays: best_table,
         behaviors: best_behaviors,
@@ -295,11 +225,7 @@ pub fn random_baseline(
     for s in 0..samples {
         let trace = simulate(grid.graph(), &schedule, &cfg, seed + s as u64);
         let view = PulseView::from_single_pulse(grid, &trace);
-        for c in 0..grid.width() as i64 {
-            if let (Some(a), Some(b)) = (view.time(layer, c), view.time(layer, c + 1)) {
-                best = best.max(a.abs_diff(b));
-            }
-        }
+        best = best.max(layer_skew(grid, &view, layer, None));
     }
     best
 }
@@ -309,6 +235,11 @@ mod tests {
     use super::*;
     use crate::bounds::theorem1_intra_bound;
 
+    /// Zero layer-0 offsets (`Δ₀ = 0`) for a width-`w` grid.
+    fn zeros(w: usize) -> Vec<Time> {
+        vec![Time::ZERO; w]
+    }
+
     #[test]
     fn search_beats_random_baseline() {
         let grid = HexGrid::new(10, 8);
@@ -317,7 +248,7 @@ mod tests {
         let mut best = Duration::ZERO;
         for seed in 0..4u64 {
             let mut rng = SimRng::seed_from_u64(seed);
-            let result = worst_case_search(&grid, 8, delays, 200, &mut rng);
+            let result = worst_case_search(&grid, 8, None, zeros(8), delays, 200, &mut rng);
             assert!(result.skew >= result.initial_skew);
             best = best.max(result.skew);
         }
@@ -336,7 +267,7 @@ mod tests {
         let bound = theorem1_intra_bound(8, delays);
         for seed in 0..3u64 {
             let mut rng = SimRng::seed_from_u64(seed);
-            let result = worst_case_search(&grid, 8, delays, 120, &mut rng);
+            let result = worst_case_search(&grid, 8, None, zeros(8), delays, 120, &mut rng);
             assert!(
                 result.skew <= bound,
                 "seed {seed}: searched skew {:?} violates Theorem-1 bound {:?}",
@@ -361,7 +292,8 @@ mod tests {
         let mut best = Duration::ZERO;
         for seed in 0..4u64 {
             let mut rng = SimRng::seed_from_u64(seed);
-            best = best.max(worst_case_search(&grid, 12, delays, 250, &mut rng).skew);
+            best =
+                best.max(worst_case_search(&grid, 12, None, zeros(8), delays, 250, &mut rng).skew);
         }
         assert!(
             best >= eps * 2,
@@ -390,7 +322,7 @@ mod tests {
         let delays = DelayRange::paper();
         for &(seed, skew, initial, accepted, table, next) in PINS {
             let mut rng = SimRng::seed_from_u64(seed);
-            let r = worst_case_search(&grid, 6, delays, 50, &mut rng);
+            let r = worst_case_search(&grid, 6, None, zeros(6), delays, 50, &mut rng);
             let observed = (
                 seed,
                 r.skew.ps(),
@@ -441,10 +373,10 @@ mod tests {
         let mut best = Duration::ZERO;
         for seed in 0..3u64 {
             let mut rng = SimRng::seed_from_u64(seed);
-            let r = byzantine_worst_case_search(
+            let r = worst_case_search(
                 &grid,
                 5,
-                fault,
+                Some(fault),
                 offsets.clone(),
                 delays,
                 120,
@@ -484,8 +416,7 @@ mod tests {
         let offsets = ramp_offsets(8, delays.hi);
         for &(seed, skew, initial, accepted, table, behaviors, next) in PINS {
             let mut rng = SimRng::seed_from_u64(seed);
-            let r =
-                byzantine_worst_case_search(&grid, 3, fault, offsets.clone(), delays, 40, &mut rng);
+            let r = worst_case_search(&grid, 3, Some(fault), offsets.clone(), delays, 40, &mut rng);
             let observed = (
                 seed,
                 r.skew.ps(),

@@ -8,7 +8,7 @@
 //! gtkwave hex_run.vcd     # inspect the pulse wave layer by layer
 //! ```
 
-use hexclock::analysis::causal_faulty::{left_zigzag_with_shift, FaultSet};
+use hexclock::analysis::causal::{left_zigzag_with_shift, FaultSet};
 use hexclock::prelude::*;
 use hexclock::sim::vcd::VcdDocument;
 use hexclock::sim::{vcd_document, VcdOptions};

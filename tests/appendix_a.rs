@@ -2,9 +2,9 @@
 //! simulated executions, and the fault-avoiding causal machinery succeeds
 //! for every correct node under Condition 1.
 
-use hexclock::analysis::causal_faulty::{
-    check_causality, check_lemma2_relaxed, faults_in_triangle, left_zigzag_with_shift, AvoidEnd,
-    AvoidLink, AvoidPath, FaultSet,
+use hexclock::analysis::causal::{
+    check_causality, check_lemma2, faults_in_triangle, left_zigzag_with_shift, FaultSet, ZigZag,
+    ZigZagEnd, ZigZagLink,
 };
 use hexclock::analysis::skew::{exclusion_mask, per_layer_max_intra};
 use hexclock::core::fault::{forwarder_candidates, place_condition1};
@@ -135,20 +135,20 @@ fn inter_layer_envelope_with_fault_holds() {
 }
 
 /// Appends a path's nodes, links and termination to a fingerprint.
-fn push_path(out: &mut Vec<u8>, path: &AvoidPath) {
+fn push_path(out: &mut Vec<u8>, path: &ZigZag) {
     for &(layer, col) in &path.nodes {
         out.extend(layer.to_le_bytes());
         out.extend(col.to_le_bytes());
     }
     out.extend(path.links.iter().map(|link| match link {
-        AvoidLink::Rightward => b'R',
-        AvoidLink::UpLeft => b'U',
-        AvoidLink::UpRight => b'u',
-        AvoidLink::Leftward => b'L',
+        ZigZagLink::Rightward => b'R',
+        ZigZagLink::UpLeft => b'U',
+        ZigZagLink::UpRight => b'u',
+        ZigZagLink::Leftward => b'L',
     }));
     out.push(match path.end {
-        AvoidEnd::Triangular => b'T',
-        AvoidEnd::Layer0 => b'N',
+        ZigZagEnd::Triangular => b'T',
+        ZigZagEnd::NonTriangular => b'N',
     });
 }
 
@@ -197,15 +197,12 @@ fn avoiding_paths_exist_for_all_correct_destinations() {
                     }
                     check_causality(&view, &path, D_MINUS)
                         .unwrap_or_else(|k| panic!("non-causal link {k}"));
-                    let n = check_lemma2_relaxed(
+                    let n = check_lemma2(
                         &grid,
                         &view,
                         &fs,
                         &path,
-                        col + shift,
-                        D_MINUS,
-                        D_PLUS,
-                        EPSILON,
+                        DelayRange::paper(),
                         LEMMA2_DETOUR_HOPS,
                     )
                     .unwrap_or_else(|k| {

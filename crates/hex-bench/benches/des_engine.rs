@@ -111,12 +111,12 @@ fn bench_multi_pulse(c: &mut Criterion) {
     g.finish();
 }
 
-/// The masked batch kernel: one Byzantine node keeps every window off the
-/// fault-free kernel, so each event pays its fault and role checks. (The
-/// fault-free kernel is `single_pulse/grid_scratch`, the multi-pulse
-/// arbitrary-init regime `multi_pulse/stabilization_20x20/calendar`.)
-/// The row keeps its `_batched` name from when a scalar driver ran beside
-/// it.
+/// The batch kernel under a fault: one Byzantine node gives the run
+/// stuck-at-1 ports, so wake-ups and link timeouts re-assert them and
+/// broadcasts skip its stuck links. (The fault-free single-pulse regime
+/// is `single_pulse/grid_scratch`, the multi-pulse arbitrary-init regime
+/// `multi_pulse/stabilization_20x20/calendar`.) The row keeps its
+/// `_batched` name from when a scalar driver ran beside it.
 fn bench_dispatch(c: &mut Criterion) {
     use hex_core::{FaultPlan, NodeFault, Timing};
 
@@ -145,11 +145,10 @@ fn bench_dispatch(c: &mut Criterion) {
 }
 
 /// Dynamic fault campaigns (scripted mid-run transitions): `burst_*`
-/// flips one node Byzantine for a two-pulse window (the masked kernel
-/// while it lasts), `churn_*` rolls three fail-silent windows across
-/// random forwarders. This measures the window and transition overhead
-/// the campaign sweeps pay. The rows keep their `_batched` names from
-/// when a scalar driver ran beside them.
+/// flips one node Byzantine for a two-pulse window, `churn_*` rolls
+/// three fail-silent windows across random forwarders. This measures the
+/// window and transition overhead the campaign sweeps pay. The rows keep
+/// their `_batched` names from when a scalar driver ran beside them.
 fn bench_campaign(c: &mut Criterion) {
     use hex_clock::{PulseTrain, Scenario};
     use hex_core::fault::forwarder_candidates;

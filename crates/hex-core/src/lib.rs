@@ -43,4 +43,4 @@ pub use fault::{
 pub use graph::{LinkId, NodeId, PulseGraph, Role};
 pub use grid::HexGrid;
 pub use node::{FiringState, NodeState, TriggerCause};
-pub use params::{DelayRange, HexParams, Timing, D_MINUS, D_PLUS, EPSILON, THETA};
+pub use params::{DelayRange, Timing, D_MINUS, D_PLUS, EPSILON, THETA};

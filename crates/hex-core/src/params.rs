@@ -57,12 +57,6 @@ impl DelayRange {
         Duration::from_ps((self.lo.ps() + self.hi.ps()) / 2)
     }
 
-    /// True iff the paper's global constraint `ε ≤ d+/2` holds, which the
-    /// skew analysis needs for its triangle-inequality-like property.
-    pub fn satisfies_epsilon_constraint(&self) -> bool {
-        self.uncertainty().ps() * 2 <= self.hi.ps()
-    }
-
     /// True iff the stronger Theorem 1 premise `ε ≤ d+/7` holds.
     pub fn satisfies_theorem1_constraint(&self) -> bool {
         self.uncertainty().ps() * 7 <= self.hi.ps()
@@ -112,31 +106,6 @@ impl Timing {
     }
 }
 
-/// The complete parameter set of a HEX deployment: link delay interval plus
-/// Algorithm-1 timeouts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HexParams {
-    /// End-to-end link delay interval `[d-, d+]`.
-    pub delays: DelayRange,
-    /// Algorithm-1 timeout parameters.
-    pub timing: Timing,
-}
-
-impl HexParams {
-    /// Paper defaults: delays `[7.161, 8.197] ns`, Table-3 (iii) timeouts.
-    pub fn paper() -> Self {
-        HexParams {
-            delays: DelayRange::paper(),
-            timing: Timing::paper_scenario_iii(),
-        }
-    }
-
-    /// Shorthand for `delays.uncertainty()` (= `ε`).
-    pub fn epsilon(&self) -> Duration {
-        self.delays.uncertainty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,7 +115,6 @@ mod tests {
         assert_eq!(D_PLUS - D_MINUS, EPSILON);
         let r = DelayRange::paper();
         assert_eq!(r.uncertainty(), EPSILON);
-        assert!(r.satisfies_epsilon_constraint());
         assert!(r.satisfies_theorem1_constraint()); // 7·1036 = 7252 ≤ 8197
     }
 

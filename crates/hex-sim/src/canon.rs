@@ -12,10 +12,10 @@
 //! ## What is (and is not) encoded
 //!
 //! Everything that determines the *result*: grid shape, run count, base
-//! seed (the seed policy — run `r` simulates with `seed + r`), layer-0
-//! scenario, fault regime (including explicit [`FaultPlan`]s, link
-//! overrides and all), initial states, pulse count, timing policy, the
-//! delay model, and any explicit schedule override.
+//! seed (the seed policy — run `r` simulates with `seed + r`, wrapping),
+//! layer-0 scenario, fault regime (including explicit [`FaultPlan`]s,
+//! link overrides and all), initial states, pulse count, timing policy,
+//! the delay model, and any explicit schedule override.
 //!
 //! `threads` is deliberately **excluded**: batch reductions are pinned
 //! independent of the worker-thread count, so it is an execution knob of

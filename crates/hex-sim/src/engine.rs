@@ -235,20 +235,6 @@ enum Ev {
     },
 }
 
-impl Ev {
-    /// Discriminant for the batch kernel's same-kind run grouping.
-    #[inline]
-    fn kind(self) -> u8 {
-        match self {
-            Ev::SourceFire { .. } => 0,
-            Ev::Deliver { .. } => 1,
-            Ev::LinkTimeout { .. } => 2,
-            Ev::Wake { .. } => 3,
-            Ev::Script { .. } => 4,
-        }
-    }
-}
-
 /// The calendar ring geometry for a configuration on an `n`-node graph:
 /// bucket count tracks the resident event set (≈ one pending timer per
 /// node), one ring lap covers the maximum scheduling increment.
@@ -471,8 +457,9 @@ pub fn simulate(graph: &PulseGraph, schedule: &Schedule, cfg: &SimConfig, seed: 
 /// Read-only per-run context shared by the event loop and its helpers.
 /// Everything per-event-resolvable at setup lives here, resolved: the
 /// eligibility bitmasks replace `FaultPlan` probes and `role` calls, and
-/// `all_links_correct` lets [`broadcast`] skip the behaviors table in the
-/// fault-free common case.
+/// `all_links_correct` lets the stuck-at-1 re-assertions
+/// ([`refresh_stuck_one`], [`arm_stuck_ports`]) skip the behaviors table
+/// in the fault-free common case.
 struct RunCtx<'a> {
     graph: &'a PulseGraph,
     cfg: &'a SimConfig,
@@ -632,7 +619,7 @@ fn observed_run<'s, const REFERENCE: bool>(
 /// model checker, and return what was checked or the first breach of the
 /// paper's Section 2 model in event order (each rule is a [`Violation`]
 /// variant). Every bound comes from `cfg`: the delay envelope, `T+_link`,
-/// `T−_sleep`, the fault plan and the horizon.
+/// `[T−_sleep, T+_sleep]`, the fault plan and the horizon.
 ///
 /// # Panics
 ///
@@ -650,11 +637,10 @@ pub fn check_model(
     check.finish()
 }
 
-/// The batching reference: [`simulate_into`] through the same driver with
-/// batch span 0 and the masked kernel in every window. Span 0 drains only
-/// the events of one instant per batch, so this replays the
-/// one-at-a-time pop order; the engine tests compare production runs
-/// against it.
+/// The batching reference: [`simulate_into`] through the same driver and
+/// kernel with batch span 0. Span 0 drains only the events of one instant
+/// per batch, so this replays the one-at-a-time pop order; the engine
+/// tests compare production runs against it.
 #[cfg(test)]
 pub(crate) fn simulate_reference_into<'s>(
     scratch: &'s mut SimScratch,
@@ -705,64 +691,35 @@ fn seed_events<O: RunObserver>(
     }
 
     // Corrupted initial states (self-stabilization experiments).
-    if cfg.init != InitState::Clean {
-        for n in graph.node_ids() {
-            if !ctx.active[n as usize] {
-                continue;
+    let timing = cfg.timing;
+    for node in graph.node_ids().filter(|&n| ctx.active[n as usize]) {
+        match cfg.init {
+            InitState::Clean => {}
+            InitState::Arbitrary => seed_arbitrary(node, Time::ZERO, graph, timing, nodes, q, rng),
+            InitState::AllFlagsSet => {
+                let all: Vec<u8> = (0..graph.port_count(node) as u8).collect();
+                for (port, epoch) in nodes.force_arbitrary(node, false, &all).flag_epochs {
+                    let at = Time::ZERO + rng.duration_in(timing.link.lo, timing.link.hi);
+                    q.push(at, Ev::LinkTimeout { node, port, epoch });
+                }
             }
-            let ports = graph.port_count(n);
-            let (sleeping, set): (bool, Vec<u8>) = match cfg.init {
-                InitState::Arbitrary => (
-                    rng.coin(),
-                    (0..ports as u8).filter(|_| rng.coin()).collect(),
-                ),
-                InitState::AllFlagsSet => (false, (0..ports as u8).collect()),
-                InitState::AllAsleep => (true, Vec::new()),
-                InitState::Clean => unreachable!(),
-            };
-            let eps = nodes.force_arbitrary(n, sleeping, &set);
-            if let Some(e) = eps.sleep_epoch {
-                let residual = match cfg.init {
-                    InitState::Arbitrary => rng.duration_in(Duration::ZERO, cfg.timing.sleep.hi),
-                    _ => cfg.timing.sleep.hi,
-                };
-                q.push(Time::ZERO + residual, Ev::Wake { node: n, epoch: e });
-            }
-            for (port, e) in eps.flag_epochs {
-                let residual = match cfg.init {
-                    InitState::Arbitrary => rng.duration_in(Duration::ZERO, cfg.timing.link.hi),
-                    _ => rng.duration_in(cfg.timing.link.lo, cfg.timing.link.hi),
-                };
-                q.push(
-                    Time::ZERO + residual,
-                    Ev::LinkTimeout {
-                        node: n,
-                        port,
-                        epoch: e,
-                    },
-                );
+            InitState::AllAsleep => {
+                if let Some(epoch) = nodes.force_arbitrary(node, true, &[]).sleep_epoch {
+                    q.push(Time::ZERO + timing.sleep.hi, Ev::Wake { node, epoch });
+                }
             }
         }
     }
 
     // Stuck-at-1 in-ports assert themselves from the start.
-    for n in graph.node_ids() {
-        if !ctx.active[n as usize] {
-            continue;
-        }
-        for (port, &l) in graph.in_links(n).iter().enumerate() {
-            if ctx.behaviors[l as usize] == LinkBehavior::StuckOne {
-                arm_flag(n, port as u8, Time::ZERO, cfg.timing.link, nodes, q, rng);
-            }
-        }
+    for n in graph.node_ids().filter(|&n| ctx.active[n as usize]) {
+        arm_stuck_ports(n, Time::ZERO, ctx, nodes, q, rng);
     }
 
     // Nodes whose guards are satisfied by the initial flag assignment fire
     // immediately (time 0).
-    for n in graph.node_ids() {
-        if ctx.active[n as usize] {
-            maybe_fire::<O, false>(n, Time::ZERO, ctx, nodes, obs, q, rng);
-        }
+    for n in graph.node_ids().filter(|&n| ctx.active[n as usize]) {
+        maybe_fire(n, Time::ZERO, ctx, nodes, obs, q, rng);
     }
 
     // One sentinel per scripted fault transition, pushed after everything
@@ -784,19 +741,15 @@ fn seed_events<O: RunObserver>(
 /// windows. A window ends 1 ps before the next script transition, or at
 /// the horizon when no transition is left, so an unscripted run is one
 /// window. Inside a window, [`drain`] pops bucket batches spanning
-/// [`SimConfig::min_increment`] and dispatches each through the
-/// `FAULT_FREE` kernel when the window is fault-free (see
-/// [`batch_fault_free`]), the masked one otherwise. At a window's end,
-/// the events at the transition instant that precede its sentinel are
-/// dispatched one at a time through the masked kernel, the transition is
-/// applied ([`apply_transition`]), and the next window re-hoists the
-/// masks. The run ends by popping the first event past the horizon, which
-/// `popped()` counts. Returns `(events popped, stale epoch-rejected
-/// events)`.
+/// [`SimConfig::min_increment`] and hands each to [`dispatch`]. At a
+/// window's end, the events at the transition instant that precede its
+/// sentinel are dispatched one at a time, the transition is applied
+/// ([`apply_transition`]), and the next window re-hoists the masks. The
+/// run ends by popping the first event past the horizon, which `popped()`
+/// counts. Returns `(events popped, stale epoch-rejected events)`.
 ///
 /// `REFERENCE` (tests only, see [`simulate_reference_into`]) drains with
-/// span 0 — one instant per batch — and the masked kernel in every
-/// window.
+/// span 0: one instant per batch.
 #[allow(clippy::too_many_arguments)]
 fn run_windows<O: RunObserver, const REFERENCE: bool>(
     setup: &mut RunSetup,
@@ -848,11 +801,7 @@ fn run_windows<O: RunObserver, const REFERENCE: bool>(
             None => ctx.horizon,
         };
         let rng = &mut setup.rng;
-        stale += if !REFERENCE && batch_fault_free(&ctx) {
-            drain::<O, true>(q, &ctx, span, cap, nodes, obs, rng, batch_buf)
-        } else {
-            drain::<O, false>(q, &ctx, span, cap, nodes, obs, rng, batch_buf)
-        };
+        stale += drain(q, &ctx, span, cap, nodes, obs, rng, batch_buf);
         if boundary.is_none() {
             q.pop(); // the first event past the horizon, if any
             break;
@@ -861,7 +810,7 @@ fn run_windows<O: RunObserver, const REFERENCE: bool>(
             let e = q.pop().expect("the transition's sentinel is pending");
             match e.payload {
                 Ev::Script { index } => break index as usize,
-                ev => stale += dispatch::<O, false>(&[(e.at, ev)], &ctx, nodes, obs, q, rng),
+                ev => stale += dispatch(&[(e.at, ev)], &ctx, nodes, obs, q, rng),
             }
         };
         debug_assert_eq!(index, next, "sentinels pop in timeline order");
@@ -881,21 +830,11 @@ fn run_windows<O: RunObserver, const REFERENCE: bool>(
     (q.popped(), stale)
 }
 
-/// Can the current window run through the `FAULT_FREE`-monomorphized
-/// kernel? True iff no node is faulty, every link behaves and every
-/// delivery targets an active forwarder.
-fn batch_fault_free(ctx: &RunCtx<'_>) -> bool {
-    let graph = ctx.graph;
-    ctx.all_links_correct
-        && ctx.faulty.iter().all(|&f| !f)
-        && (0..graph.link_count() as u32).all(|l| ctx.active[graph.link(l).dst as usize])
-}
-
 /// The pop loop of [`run_windows`]: drain bucket batches of at most
 /// `span` past their first event, never past `cap`, and [`dispatch`]
 /// each. Returns the stale-event count.
 #[allow(clippy::too_many_arguments)]
-fn drain<O: RunObserver, const FAULT_FREE: bool>(
+fn drain<O: RunObserver>(
     q: &mut CalendarQueue<Ev>,
     ctx: &RunCtx<'_>,
     span: Duration,
@@ -907,22 +846,21 @@ fn drain<O: RunObserver, const FAULT_FREE: bool>(
 ) -> u64 {
     let mut stale = 0u64;
     while q.drain_bucket(span, cap, batch) > 0 {
-        stale += dispatch::<O, FAULT_FREE>(batch, ctx, nodes, obs, q, rng);
+        stale += dispatch(batch, ctx, nodes, obs, q, rng);
     }
     stale
 }
 
 /// Process one batch of popped events in `(time, seq)` order against the
-/// SoA node arrays: the only copy of the per-event arms. Nothing in the
-/// batch can schedule back into it (see [`SimConfig::min_increment`]),
-/// so this replays the one-at-a-time order exactly. `FAULT_FREE` compiles
-/// out every fault and role check and the stuck-at-1 refresh; the masked
-/// kernel also rejects, as stale, the timers of a currently-faulty node,
-/// which a scripted fault needs (a static run never gives an inactive
-/// node a timer). Script sentinels never reach it. A `Deliver` that
-/// newly sets a flag is reported to [`RunObserver::on_arrival`] before
-/// the guard is evaluated. Returns the stale-event count.
-fn dispatch<O: RunObserver, const FAULT_FREE: bool>(
+/// SoA node arrays, one `match` per event: the only copy of the per-event
+/// arms. Nothing in the batch can schedule back into it (see
+/// [`SimConfig::min_increment`]), so this replays the one-at-a-time order
+/// exactly. Events aimed at a faulty node are dropped, and the timers of a
+/// currently-faulty node count as stale (only a scripted fault gives an
+/// inactive node a timer). Script sentinels never reach it. A `Deliver`
+/// that newly sets a flag is reported to [`RunObserver::on_arrival`]
+/// before the guard is evaluated. Returns the stale-event count.
+fn dispatch<O: RunObserver>(
     batch: &[(Time, Ev)],
     ctx: &RunCtx<'_>,
     nodes: &mut SoaNodes,
@@ -930,107 +868,69 @@ fn dispatch<O: RunObserver, const FAULT_FREE: bool>(
     q: &mut CalendarQueue<Ev>,
     rng: &mut SimRng,
 ) -> u64 {
-    let graph = ctx.graph;
     let mut stale = 0u64;
-    // Sort-free same-kind grouping: the batch is already in (time, seq)
-    // pop order; split it into maximal consecutive runs of one event
-    // kind and dispatch each run with a single match. Order within and
-    // across runs is untouched, so the replay stays exact.
-    let mut i = 0;
-    while i < batch.len() {
-        let kind = batch[i].1.kind();
-        let mut j = i + 1;
-        while j < batch.len() && batch[j].1.kind() == kind {
-            j += 1;
+    for &(now, ev) in batch {
+        match ev {
+            Ev::SourceFire { node } => {
+                if ctx.faulty[node as usize] {
+                    continue; // mute/Byzantine source
+                }
+                obs.on_fire(node, now, TriggerCause::Source);
+                broadcast(node, now, ctx, q, rng);
+            }
+            Ev::Deliver { link } => {
+                let l = ctx.graph.link(link);
+                let n = l.dst;
+                if ctx.active[n as usize]
+                    && arm_flag(n, l.dst_port, now, ctx.cfg.timing.link, nodes, q, rng)
+                {
+                    obs.on_arrival(n, l.dst_port, l.src, now);
+                    maybe_fire(n, now, ctx, nodes, obs, q, rng);
+                }
+            }
+            Ev::LinkTimeout { node, port, epoch } => {
+                if !ctx.active[node as usize] {
+                    stale += 1; // timer owned by a currently-faulty node
+                    continue;
+                }
+                // Epoch bound: a timeout can carry at most the epoch it
+                // was scheduled under, and epochs only move forward — a
+                // popped epoch from the future means timer-cancellation
+                // bookkeeping is corrupt (the dynamic twin of the
+                // hex-lint determinism rules).
+                debug_assert!(
+                    epoch <= nodes.flag_epoch(node, port),
+                    "LinkTimeout from the future: node {node} port {port} \
+                     carries epoch {epoch} > current {}",
+                    nodes.flag_epoch(node, port)
+                );
+                if nodes.expire_flag(node, port, epoch) {
+                    refresh_stuck_one(node, port, now, ctx, nodes, q, rng);
+                    maybe_fire(node, now, ctx, nodes, obs, q, rng);
+                } else {
+                    stale += 1;
+                }
+            }
+            Ev::Wake { node, epoch } => {
+                if !ctx.active[node as usize] {
+                    stale += 1; // timer owned by a currently-faulty node
+                    continue;
+                }
+                debug_assert!(
+                    epoch <= nodes.sleep_epoch(node),
+                    "Wake from the future: node {node} carries epoch {epoch} > current {}",
+                    nodes.sleep_epoch(node)
+                );
+                if nodes.wake(node, epoch) {
+                    // All flags were cleared; stuck-1 re-asserts.
+                    arm_stuck_ports(node, now, ctx, nodes, q, rng);
+                    maybe_fire(node, now, ctx, nodes, obs, q, rng);
+                } else {
+                    stale += 1;
+                }
+            }
+            Ev::Script { .. } => unreachable!("a sentinel ends its window before dispatch"),
         }
-        match kind {
-            0 => {
-                for &(now, ev) in &batch[i..j] {
-                    let Ev::SourceFire { node } = ev else {
-                        unreachable!()
-                    };
-                    if !FAULT_FREE && ctx.faulty[node as usize] {
-                        continue; // mute/Byzantine source
-                    }
-                    obs.on_fire(node, now, TriggerCause::Source);
-                    broadcast::<FAULT_FREE>(node, now, ctx, q, rng);
-                }
-            }
-            1 => {
-                for &(now, ev) in &batch[i..j] {
-                    let Ev::Deliver { link } = ev else {
-                        unreachable!()
-                    };
-                    let l = graph.link(link);
-                    let n = l.dst;
-                    if !FAULT_FREE && !ctx.active[n as usize] {
-                        continue;
-                    }
-                    if arm_flag(n, l.dst_port, now, ctx.cfg.timing.link, nodes, q, rng) {
-                        obs.on_arrival(n, l.dst_port, l.src, now);
-                        maybe_fire::<O, FAULT_FREE>(n, now, ctx, nodes, obs, q, rng);
-                    }
-                }
-            }
-            2 => {
-                for &(now, ev) in &batch[i..j] {
-                    let Ev::LinkTimeout { node, port, epoch } = ev else {
-                        unreachable!()
-                    };
-                    if !FAULT_FREE && !ctx.active[node as usize] {
-                        stale += 1; // timer owned by a currently-faulty node
-                        continue;
-                    }
-                    // Epoch bound: a timeout can carry at most the epoch it
-                    // was scheduled under, and epochs only move forward — a
-                    // popped epoch from the future means timer-cancellation
-                    // bookkeeping is corrupt (the dynamic twin of the
-                    // hex-lint determinism rules).
-                    debug_assert!(
-                        epoch <= nodes.flag_epoch(node, port),
-                        "LinkTimeout from the future: node {node} port {port} \
-                         carries epoch {epoch} > current {}",
-                        nodes.flag_epoch(node, port)
-                    );
-                    if nodes.expire_flag(node, port, epoch) {
-                        if !FAULT_FREE {
-                            refresh_stuck_one(node, port, now, ctx, nodes, q, rng);
-                        }
-                        maybe_fire::<O, FAULT_FREE>(node, now, ctx, nodes, obs, q, rng);
-                    } else {
-                        stale += 1;
-                    }
-                }
-            }
-            _ => {
-                for &(now, ev) in &batch[i..j] {
-                    let Ev::Wake { node, epoch } = ev else {
-                        unreachable!()
-                    };
-                    if !FAULT_FREE && !ctx.active[node as usize] {
-                        stale += 1; // timer owned by a currently-faulty node
-                        continue;
-                    }
-                    debug_assert!(
-                        epoch <= nodes.sleep_epoch(node),
-                        "Wake from the future: node {node} carries epoch {epoch} > current {}",
-                        nodes.sleep_epoch(node)
-                    );
-                    if nodes.wake(node, epoch) {
-                        if !FAULT_FREE {
-                            // All flags were cleared; stuck-1 re-asserts.
-                            for port in 0..graph.port_count(node) as u8 {
-                                refresh_stuck_one(node, port, now, ctx, nodes, q, rng);
-                            }
-                        }
-                        maybe_fire::<O, FAULT_FREE>(node, now, ctx, nodes, obs, q, rng);
-                    } else {
-                        stale += 1;
-                    }
-                }
-            }
-        }
-        i = j;
     }
     stale
 }
@@ -1089,33 +989,10 @@ fn apply_transition<O: RunObserver>(
                     nodes.force_arbitrary(node, false, &[]);
                 }
                 RejoinState::Arbitrary => {
-                    // Mirror the corrupted-init seeding, drawn from the
-                    // script stream.
-                    let ports = graph.port_count(node);
-                    let sleeping = setup.script_rng.coin();
-                    let set: Vec<u8> = (0..ports as u8)
-                        .filter(|_| setup.script_rng.coin())
-                        .collect();
-                    let eps = nodes.force_arbitrary(node, sleeping, &set);
-                    if let Some(e) = eps.sleep_epoch {
-                        let residual = setup
-                            .script_rng
-                            .duration_in(Duration::ZERO, cfg.timing.sleep.hi);
-                        q.push(now + residual, Ev::Wake { node, epoch: e });
-                    }
-                    for (port, e) in eps.flag_epochs {
-                        let residual = setup
-                            .script_rng
-                            .duration_in(Duration::ZERO, cfg.timing.link.hi);
-                        q.push(
-                            now + residual,
-                            Ev::LinkTimeout {
-                                node,
-                                port,
-                                epoch: e,
-                            },
-                        );
-                    }
+                    // The corrupted-init seeding, drawn from the script
+                    // stream.
+                    let rng = &mut setup.script_rng;
+                    seed_arbitrary(node, now, graph, cfg.timing, nodes, q, rng);
                 }
             }
         }
@@ -1157,26 +1034,22 @@ fn apply_transition<O: RunObserver>(
             continue;
         }
         arm_flag(lk.dst, lk.dst_port, now, cfg.timing.link, nodes, q, rng);
-        maybe_fire::<O, false>(lk.dst, now, &ctx, nodes, obs, q, rng);
+        maybe_fire(lk.dst, now, &ctx, nodes, obs, q, rng);
     }
 
     // A healed node re-arms its stuck-at-1 in-ports (still-faulty
     // neighbours, link overrides) and may fire off its rejoin state.
     if let FaultEvent::Heal(node, _) = tr.event {
-        for (port, &l) in graph.in_links(node).iter().enumerate() {
-            if ctx.behaviors[l as usize] == LinkBehavior::StuckOne {
-                arm_flag(node, port as u8, now, cfg.timing.link, nodes, q, rng);
-            }
-        }
+        arm_stuck_ports(node, now, &ctx, nodes, q, rng);
         if ctx.active[node as usize] {
-            maybe_fire::<O, false>(node, now, &ctx, nodes, obs, q, rng);
+            maybe_fire(node, now, &ctx, nodes, obs, q, rng);
         }
     }
 }
 
 /// If `node` is ready and its guard is satisfied, fire: observe the firing
-/// record, broadcast, sleep. `FAULT_FREE` only forwards to [`broadcast`].
-fn maybe_fire<O: RunObserver, const FAULT_FREE: bool>(
+/// record, sleep (observing the drawn sleep), broadcast.
+fn maybe_fire<O: RunObserver>(
     node: NodeId,
     now: Time,
     ctx: &RunCtx<'_>,
@@ -1195,6 +1068,7 @@ fn maybe_fire<O: RunObserver, const FAULT_FREE: bool>(
     obs.on_fire(node, now, cause);
     let sleep_epoch = nodes.fire(node);
     let dur = rng.duration_in(ctx.cfg.timing.sleep.lo, ctx.cfg.timing.sleep.hi);
+    obs.on_sleep(node, now, dur);
     q.push(
         now + dur,
         Ev::Wake {
@@ -1202,40 +1076,28 @@ fn maybe_fire<O: RunObserver, const FAULT_FREE: bool>(
             epoch: sleep_epoch,
         },
     );
-    broadcast::<FAULT_FREE>(node, now, ctx, q, rng);
+    broadcast(node, now, ctx, q, rng);
 }
 
-/// Send a trigger message on every correct outgoing link of `node`.
-///
-/// With a fully-correct fault plan (the common case — and always under
-/// `FAULT_FREE`, where the branch is compiled out) the behaviors lookup is
-/// skipped entirely; the RNG stream is identical on both paths because
-/// every link is sampled either way.
-fn broadcast<const FAULT_FREE: bool>(
+/// Send a trigger message on every correct outgoing link of `node`, one
+/// delay draw per message sent.
+fn broadcast(
     node: NodeId,
     now: Time,
     ctx: &RunCtx<'_>,
     q: &mut CalendarQueue<Ev>,
     rng: &mut SimRng,
 ) {
-    if FAULT_FREE || ctx.all_links_correct {
-        for &l in ctx.graph.out_links(node) {
+    for &l in ctx.graph.out_links(node) {
+        if ctx.behaviors[l as usize] == LinkBehavior::Correct {
             let d = ctx.delays.sample(l, rng);
             q.push(now + d, Ev::Deliver { link: l });
-        }
-    } else {
-        for &l in ctx.graph.out_links(node) {
-            if ctx.behaviors[l as usize] == LinkBehavior::Correct {
-                let d = ctx.delays.sample(l, rng);
-                q.push(now + d, Ev::Deliver { link: l });
-            }
         }
     }
 }
 
-/// A stuck-at-1 in-port re-asserts its memory flag the instant it was
-/// cleared. (The `FAULT_FREE` kernel never calls this: fault-free
-/// implies `all_links_correct`, under which this is a no-op.)
+/// A stuck-at-1 in-port re-asserts its memory flag the instant a link
+/// timeout cleared it. A no-op when every link is correct.
 fn refresh_stuck_one(
     node: NodeId,
     port: u8,
@@ -1251,6 +1113,51 @@ fn refresh_stuck_one(
     let l = ctx.graph.in_links(node)[port as usize];
     if ctx.behaviors[l as usize] == LinkBehavior::StuckOne {
         arm_flag(node, port, now, ctx.cfg.timing.link, nodes, q, rng);
+    }
+}
+
+/// Assert every stuck-at-1 in-port of `node` at `now`: at simulation
+/// start, after a wake-up cleared all its flags, and when it heals.
+fn arm_stuck_ports(
+    node: NodeId,
+    now: Time,
+    ctx: &RunCtx<'_>,
+    nodes: &mut SoaNodes,
+    q: &mut CalendarQueue<Ev>,
+    rng: &mut SimRng,
+) {
+    for port in 0..ctx.graph.port_count(node) as u8 {
+        refresh_stuck_one(node, port, now, ctx, nodes, q, rng);
+    }
+}
+
+/// Put `node` into an arbitrary state (Theorem 2) at `now`, drawing from
+/// `rng` in a fixed order: a coin for sleeping, one coin per in-port for
+/// its memory flag, a residual sleep in `[0, T+_sleep]` if asleep, then a
+/// residual in `[0, T+_link]` per set flag. Corrupted-init seeding
+/// ([`InitState::Arbitrary`], main stream) and arbitrary rejoins
+/// ([`RejoinState::Arbitrary`], script stream) both go through here.
+fn seed_arbitrary(
+    node: NodeId,
+    now: Time,
+    graph: &PulseGraph,
+    timing: Timing,
+    nodes: &mut SoaNodes,
+    q: &mut CalendarQueue<Ev>,
+    rng: &mut SimRng,
+) {
+    let sleeping = rng.coin();
+    let set: Vec<u8> = (0..graph.port_count(node) as u8)
+        .filter(|_| rng.coin())
+        .collect();
+    let eps = nodes.force_arbitrary(node, sleeping, &set);
+    if let Some(epoch) = eps.sleep_epoch {
+        let residual = rng.duration_in(Duration::ZERO, timing.sleep.hi);
+        q.push(now + residual, Ev::Wake { node, epoch });
+    }
+    for (port, epoch) in eps.flag_epochs {
+        let residual = rng.duration_in(Duration::ZERO, timing.link.hi);
+        q.push(now + residual, Ev::LinkTimeout { node, port, epoch });
     }
 }
 
@@ -1811,10 +1718,9 @@ mod tests {
     }
 
     /// The batching wall: the production driver (bucket batches spanning
-    /// `min_increment`, the fault-free kernel whenever a window allows it)
-    /// replays the one-instant reference — trace, the stream of
-    /// flag-setting arrivals and popped/stale counters — in the four
-    /// regimes that shape the kernel differently: fault-free, Byzantine,
+    /// `min_increment`) replays the one-instant reference — trace, the
+    /// stream of flag-setting arrivals and popped/stale counters — in the
+    /// four regimes that shape the kernel differently: fault-free, Byzantine,
     /// arbitrary-init multi-pulse (pre-loop residuals shorter than the
     /// batch span, heavy stale churn), and a script mixing every
     /// transition kind with two transitions at one instant. Each side

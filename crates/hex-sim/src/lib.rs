@@ -25,9 +25,9 @@
 //!   `RunSpec::fold_observed`);
 //! * [`engine::check_model`] — the model check: one run under an observer
 //!   that holds every event to the paper's Section 2 model (sleep
-//!   separation, source conformance, fault silence, delay bounds, guard
-//!   support, the `d−` causal floor) and returns the first
-//!   [`observe::Violation`];
+//!   separation and sleep bounds, source conformance, fault silence,
+//!   delay bounds, guard support, the `d−` causal floor) and returns the
+//!   first [`observe::Violation`];
 //! * [`spec::RunSpec`] — the declarative experiment vocabulary: grid
 //!   shape, layer-0 scenario, fault regime, Table-3 timing, init states,
 //!   pulse count and per-run seed policy in one buildable description.
@@ -50,7 +50,7 @@ pub mod canon;
 pub mod engine;
 pub mod knobs;
 pub mod observe;
-pub mod soa;
+mod soa;
 pub mod spec;
 pub mod trace;
 pub mod vcd;

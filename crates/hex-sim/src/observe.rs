@@ -12,8 +12,8 @@
 //!
 //! * [`RunObserver`] — the sealed per-event hooks the event loop is
 //!   monomorphized over (one instantiation per observer, no per-event
-//!   dispatch): every firing, and every message arrival that sets a
-//!   memory flag;
+//!   dispatch): every firing, the sleep drawn for it, and every message
+//!   arrival that sets a memory flag;
 //! * [`PulseBinner`] — the production observer: bins each firing to its
 //!   pulse **online**, exactly replicating the post-hoc assignment of
 //!   [`assign_pulses`](crate::assign_pulses) (nearest expected time,
@@ -59,17 +59,23 @@ pub(crate) mod sealed {
 }
 
 /// The per-event hooks the engine's event loop is monomorphized over
-/// (sealed; see the [module docs](self)). Both are called in event order.
+/// (sealed; see the [module docs](self)). All are called in event order.
 ///
 /// [`on_fire`](RunObserver::on_fire) is called exactly where the trace
 /// path records a firing: once per (node, time, cause) firing record, and
-/// never for faulty nodes. [`on_arrival`](RunObserver::on_arrival) is
-/// called when a delivered message newly sets a memory flag, before the
-/// receiver's guard is evaluated; its default does nothing, so observers
-/// that ignore arrivals pay nothing for them.
+/// never for faulty nodes. [`on_sleep`](RunObserver::on_sleep) follows
+/// each forwarder firing with the sleep the engine drew for it.
+/// [`on_arrival`](RunObserver::on_arrival) is called when a delivered
+/// message newly sets a memory flag, before the receiver's guard is
+/// evaluated. The defaults of `on_sleep` and `on_arrival` do nothing, so
+/// observers that ignore them pay nothing for them.
 pub trait RunObserver: sealed::Sealed {
     /// Observe one firing.
     fn on_fire(&mut self, node: NodeId, at: Time, cause: TriggerCause);
+
+    /// Observe one sleep draw: `node`, firing at `at`, sleeps for `sleep`.
+    #[inline]
+    fn on_sleep(&mut self, _node: NodeId, _at: Time, _sleep: Duration) {}
 
     /// Observe one flag-setting arrival: a message from `from` set
     /// `node`'s memory flag on `port` at `at`.
@@ -78,10 +84,9 @@ pub trait RunObserver: sealed::Sealed {
 }
 
 /// Observer that streams fires into per-node, per-pulse first-fire slots —
-/// the online twin of [`assign_pulses`](crate::assign_pulses) (multi-pulse
-/// runs) and
-/// [`PulseView::from_single_pulse`](crate::PulseView::from_single_pulse)
-/// (single-pulse runs).
+/// the online twin of [`assign_pulses`](crate::assign_pulses), with one
+/// nearest-expected-pulse rule for every pulse count (a one-pulse run bins
+/// every firing to pulse 0).
 ///
 /// The slot layout is a flat node-major buffer reused across runs (it
 /// lives in [`SimScratch`](crate::SimScratch)); [`PulseBinner::prepare`]
@@ -97,11 +102,11 @@ pub struct PulseBinner {
     /// First firing time binned to `slots[node · pulses + k]`, else `None`.
     slots: Vec<Option<Time>>,
     /// Per-column expected layer-0 times, column-major:
-    /// `colbase[col · pulses + k]` (multi-pulse runs only).
+    /// `colbase[col · pulses + k]`.
     colbase: Vec<Time>,
-    /// Per-node propagation shift `d_mid · layer` (multi-pulse runs only).
+    /// Per-node propagation shift `d_mid · layer`.
     node_shift: Vec<Duration>,
-    /// Per-node column index (multi-pulse runs only).
+    /// Per-node column index.
     node_col: Vec<u32>,
     /// Firings beyond the first binned to an already-claimed slot — the
     /// sum of [`PulseView::spurious`](crate::PulseView::spurious) over the
@@ -140,14 +145,6 @@ impl PulseBinner {
         self.spurious = 0;
         self.faulty.clear();
         self.faulty.extend_from_slice(faulty);
-
-        if self.pulses <= 1 {
-            // Single-pulse fast path: no expected-time model needed.
-            self.colbase.clear();
-            self.node_shift.clear();
-            self.node_col.clear();
-            return;
-        }
 
         // Per-column expected layer-0 times, exactly as `assign_pulses`
         // derives them.
@@ -237,14 +234,10 @@ impl PulseBinner {
     /// per-firing step of [`assign_pulses`](crate::assign_pulses).
     #[inline]
     fn bin(&mut self, node: NodeId, at: Time) {
-        let k = if self.pulses <= 1 {
-            0
-        } else {
-            let ix = node as usize;
-            let base = &self.colbase[self.node_col[ix] as usize * self.pulses..][..self.pulses];
-            nearest_pulse(base, at - self.node_shift[ix])
-        };
-        let slot = &mut self.slots[node as usize * self.pulses + k];
+        let ix = node as usize;
+        let base = &self.colbase[self.node_col[ix] as usize * self.pulses..][..self.pulses];
+        let k = nearest_pulse(base, at - self.node_shift[ix]);
+        let slot = &mut self.slots[ix * self.pulses + k];
         if slot.is_none() {
             *slot = Some(at);
         } else {
@@ -289,6 +282,16 @@ pub enum Violation {
         node: NodeId,
         /// Gap between the two firings.
         gap: Duration,
+    },
+    /// Sleep bounds: a forwarder drew a sleep outside
+    /// `[T−_sleep, T+_sleep]`.
+    SleepOutOfBounds {
+        /// The node.
+        node: NodeId,
+        /// Firing time the sleep starts at.
+        at: Time,
+        /// The drawn sleep.
+        sleep: Duration,
     },
     /// Source conformance: a correct source fired off its schedule, or
     /// missed a scheduled instant within the horizon.
@@ -340,6 +343,8 @@ pub enum Violation {
 /// against; all zero would mean the check was vacuous.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckStats {
+    /// Sleep draws inside `[T−_sleep, T+_sleep]`.
+    pub sleeps_checked: usize,
     /// Arrivals matched to a sender firing between `d+` and `d−` earlier.
     pub arrivals_checked: usize,
     /// Guard ports of forwarder firings supported by an arrival within
@@ -359,8 +364,9 @@ pub(crate) struct ModelCheck<'a> {
     delays: DelayRange,
     /// `T+_link`: how long an arrival can support a firing.
     link_max: Duration,
-    /// `T−_sleep`: the least gap between two firings of a forwarder.
-    sleep_min: Duration,
+    /// `[T−_sleep, T+_sleep]`: every sleep a forwarder draws, and so the
+    /// least gap between two of its firings.
+    sleep: DelayRange,
     /// Forwarders start with flags no arrival set; they expire within
     /// `T+_link` of time 0.
     initial_flags: bool,
@@ -413,7 +419,7 @@ impl<'a> ModelCheck<'a> {
             graph,
             delays: cfg.delays.envelope(),
             link_max: cfg.timing.link.hi,
-            sleep_min: cfg.timing.sleep.lo,
+            sleep: cfg.timing.sleep,
             initial_flags: matches!(cfg.init, InitState::Arbitrary | InitState::AllFlagsSet),
             faulty,
             stuck,
@@ -502,13 +508,21 @@ impl RunObserver for ModelCheck<'_> {
         } else {
             if let Some(&last) = self.fires[n].last() {
                 let gap = at - last;
-                if gap < self.sleep_min {
+                if gap < self.sleep.lo {
                     self.flag(Violation::SleepViolated { node, gap });
                 }
             }
             self.check_support(node, at, cause);
         }
         self.fires[n].push(at);
+    }
+
+    fn on_sleep(&mut self, node: NodeId, at: Time, sleep: Duration) {
+        if self.sleep.contains(sleep) {
+            self.stats.sleeps_checked += 1;
+        } else {
+            self.flag(Violation::SleepOutOfBounds { node, at, sleep });
+        }
     }
 
     fn on_arrival(&mut self, node: NodeId, port: u8, from: NodeId, at: Time) {
@@ -659,12 +673,24 @@ mod tests {
     impl Fixture {
         /// Feed a checker under `cfg` every source firing on schedule, the
         /// central pair's messages reaching the node at `arrive` (if
-        /// given), then central firings of the node at `fires`.
+        /// given), then central firings of the node at `fires`, each with
+        /// a `T−_sleep` sleep.
         fn settle(
             &self,
             cfg: &SimConfig,
             arrive: Option<Time>,
             fires: &[Time],
+        ) -> Result<CheckStats, Violation> {
+            let sleeps: Vec<_> = fires.iter().map(|&at| (at, cfg.timing.sleep.lo)).collect();
+            self.settle_sleeps(cfg, arrive, &sleeps)
+        }
+
+        /// [`Fixture::settle`] with each central firing's sleep given.
+        fn settle_sleeps(
+            &self,
+            cfg: &SimConfig,
+            arrive: Option<Time>,
+            fires: &[(Time, Duration)],
         ) -> Result<CheckStats, Violation> {
             let mut check = ModelCheck::new(self.grid.graph(), &self.sched, cfg);
             for s in self.grid.graph().source_ids() {
@@ -675,8 +701,9 @@ mod tests {
                     check.on_arrival(self.node, port, from, at);
                 }
             }
-            for &at in fires {
+            for &(at, sleep) in fires {
                 check.on_fire(self.node, at, TriggerCause::Central);
+                check.on_sleep(self.node, at, sleep);
             }
             check.finish()
         }
@@ -689,6 +716,7 @@ mod tests {
     fn fabricated_clean_stream_passes() {
         let (fx, at) = (fixture(), Time::ZERO + D_PLUS);
         let all = CheckStats {
+            sleeps_checked: 1,
             arrivals_checked: 2,
             supports_checked: 2,
             causal_links_checked: 2,
@@ -709,6 +737,28 @@ mod tests {
             fx.settle(&SimConfig::fault_free(), Some(at), &fires),
             Err(want)
         );
+    }
+
+    /// A sleep drawn 1 ps outside `[T−_sleep, T+_sleep]` is out of
+    /// bounds, even when the node never fires again.
+    #[test]
+    fn detects_sleep_out_of_bounds() {
+        let (fx, at) = (fixture(), Time::ZERO + D_PLUS);
+        let cfg = SimConfig {
+            timing: Timing::paper_scenario_iii(),
+            ..SimConfig::fault_free()
+        };
+        let bounds = cfg.timing.sleep;
+        for sleep in [bounds.lo - PS, bounds.hi + PS] {
+            let want = Violation::SleepOutOfBounds {
+                node: fx.node,
+                at,
+                sleep,
+            };
+            let got = fx.settle_sleeps(&cfg, Some(at), &[(at, sleep)]);
+            assert_eq!(got, Err(want));
+        }
+        assert!(fx.settle_sleeps(&cfg, Some(at), &[(at, bounds.hi)]).is_ok());
     }
 
     /// A source firing off its schedule fails at once; a scheduled instant
@@ -812,6 +862,7 @@ mod tests {
         };
         for (cfg, seed) in [(SimConfig::fault_free(), 1), (byzantine, 3)] {
             let stats = check_model(grid.graph(), &sched, &cfg, seed).expect("inside the model");
+            assert!(stats.sleeps_checked > 0);
             assert!(stats.arrivals_checked > 0);
             assert!(stats.supports_checked > 0);
             assert!(stats.causal_links_checked > 0);

@@ -20,7 +20,11 @@
 //! (fires are counted by the trace).
 
 use hex_core::node::ArbitraryEpochs;
-use hex_core::{NodeId, NodeState, PulseGraph};
+use hex_core::{NodeId, PulseGraph};
+// The reference every transition mirrors; only the docs and the parity
+// tests name it.
+#[cfg(any(test, doc))]
+use hex_core::NodeState;
 
 /// Parallel-vector node state for a whole graph. See the module docs.
 #[derive(Debug, Default)]
@@ -88,11 +92,6 @@ impl SoaNodes {
                 .all(|id| self.ports(id) == graph.port_count(id))
     }
 
-    /// Number of nodes currently held.
-    pub fn node_count(&self) -> usize {
-        self.sleeping.len()
-    }
-
     /// Number of in-ports of `node`.
     pub fn ports(&self, node: NodeId) -> usize {
         let n = node as usize;
@@ -119,12 +118,6 @@ impl SoaNodes {
     #[inline]
     pub fn sleep_epoch(&self, node: NodeId) -> u32 {
         self.sleep_epochs[node as usize]
-    }
-
-    /// Whether the flag of (`node`, `port`) is set.
-    #[inline]
-    pub fn flag(&self, node: NodeId, port: u8) -> bool {
-        self.flags[self.slot(node, port)]
     }
 
     /// Current epoch of the flag of (`node`, `port`).
@@ -244,9 +237,24 @@ impl SoaNodes {
             flag_epochs,
         }
     }
+}
 
-    /// Compare every observable of `node` against a [`NodeState`] reference.
-    /// Test support for the parity walls; not used by the engine.
+/// Readers only the tests use: the node count, single flags, and the
+/// parity check against a [`NodeState`] reference.
+#[cfg(test)]
+impl SoaNodes {
+    /// Number of nodes currently held.
+    pub fn node_count(&self) -> usize {
+        self.sleeping.len()
+    }
+
+    /// Whether the flag of (`node`, `port`) is set.
+    pub fn flag(&self, node: NodeId, port: u8) -> bool {
+        self.flags[self.slot(node, port)]
+    }
+
+    /// Compare every observable of `node` against a [`NodeState`]
+    /// reference.
     pub fn parity_eq(&self, reference: &NodeState) -> bool {
         let node = reference.id();
         let sleeping = reference.firing_state() == hex_core::FiringState::Sleeping;

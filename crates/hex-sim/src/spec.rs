@@ -278,7 +278,8 @@ pub struct RunSpec {
     pub width: u32,
     /// Runs in the batch (the paper uses 250).
     pub runs: usize,
-    /// Base seed; run `r` simulates with `seed + r`.
+    /// Base seed; run `r` simulates with `seed + r`, wrapping past
+    /// `u64::MAX`.
     pub seed: u64,
     /// Worker threads (0 = available parallelism).
     pub threads: usize,
@@ -433,9 +434,10 @@ impl RunSpec {
         scenario_separation(self.scenario)
     }
 
-    /// The engine seed of run `run`.
+    /// The engine seed of run `run`: `seed + run`, wrapping past `u64::MAX`
+    /// (a spec decoded from outside may carry any `u64` seed).
     pub fn run_seed(&self, run: usize) -> u64 {
-        self.seed + run as u64
+        self.seed.wrapping_add(run as u64)
     }
 
     /// The per-run RNG salt ([`SINGLE_PULSE_SALT`] or
@@ -522,12 +524,8 @@ impl RunSpec {
             &inputs.config,
             inputs.seed,
         );
-        let views = if inputs.schedule.pulses() <= 1 {
-            vec![PulseView::from_single_pulse(grid, trace)]
-        } else {
-            let mid = self.delays.envelope().mid();
-            assign_pulses(grid, trace, &inputs.schedule, mid)
-        };
+        let mid = self.delays.envelope().mid();
+        let views = assign_pulses(grid, trace, &inputs.schedule, mid);
         RunView {
             views,
             faulty: trace.faulty.clone(),
@@ -798,6 +796,38 @@ mod tests {
         other.run_one(&other_grid, &mut scratch, 0);
         other.run_one(&other_grid, &mut scratch, 1);
         assert_eq!(scratch.grow_count(), 2);
+    }
+
+    /// Run seeds wrap: a batch that starts at `u64::MAX` folds in a build
+    /// with overflow checks (the test profile), and its run 1 simulates
+    /// with seed 0.
+    #[test]
+    fn run_seeds_wrap_past_u64_max() {
+        use crate::batch::Reducer;
+
+        /// Every run's binned slots, tagged with the run index.
+        struct Slots;
+        impl Reducer<PulseBinner> for Slots {
+            type Acc = Vec<(usize, Vec<Option<Time>>)>;
+            fn empty(&self) -> Self::Acc {
+                Vec::new()
+            }
+            fn fold_ref(&self, acc: &mut Self::Acc, run: usize, binner: &PulseBinner) {
+                acc.push((run, binner.slots().to_vec()));
+            }
+            fn merge(&self, mut left: Self::Acc, right: Self::Acc) -> Self::Acc {
+                left.extend(right);
+                left
+            }
+        }
+
+        let spec = RunSpec::grid(6, 5).runs(2).seed(u64::MAX);
+        assert_eq!(spec.run_seed(1), 0);
+        let mut runs = spec.fold_observed(&Slots);
+        runs.sort_by_key(|&(run, _)| run);
+        let zero = RunSpec::grid(6, 5).runs(1).seed(0).fold_observed(&Slots);
+        assert_eq!(runs[1].1, zero[0].1, "run 1 of seed u64::MAX is seed 0");
+        assert_ne!(runs[0].1, runs[1].1);
     }
 
     #[test]

@@ -152,7 +152,9 @@ pub(crate) fn nearest_pulse(base: &[Time], t: Time) -> usize {
 /// corresponding pulse number to a triggering time" post-processing
 /// (Section 4.4) — unambiguous because pulse separation times dwarf
 /// accumulated jitter; any residual ambiguity is surfaced via
-/// [`PulseView::spurious`].
+/// [`PulseView::spurious`]. One rule serves every pulse count: with one
+/// pulse every firing bins to it, and an empty schedule still gets one
+/// view, like the streaming [`PulseBinner`](crate::PulseBinner).
 pub fn assign_pulses(
     grid: &HexGrid,
     trace: &Trace,
@@ -160,7 +162,7 @@ pub fn assign_pulses(
     d_mid: Duration,
 ) -> Vec<PulseView> {
     let base = |col, k| column_base(schedule, col, k);
-    bin_pulses(grid, trace, schedule.pulses(), base, d_mid)
+    bin_pulses(grid, trace, schedule.pulses().max(1), base, d_mid)
 }
 
 /// The one binning loop of [`assign_pulses`] and

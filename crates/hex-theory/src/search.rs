@@ -223,7 +223,7 @@ pub fn random_baseline(
     };
     let mut best = Duration::ZERO;
     for s in 0..samples {
-        let trace = simulate(grid.graph(), &schedule, &cfg, seed + s as u64);
+        let trace = simulate(grid.graph(), &schedule, &cfg, seed.wrapping_add(s as u64));
         let view = PulseView::from_single_pulse(grid, &trace);
         best = best.max(layer_skew(grid, &view, layer, None));
     }

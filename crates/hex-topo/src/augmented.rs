@@ -12,16 +12,6 @@
 use hex_core::graph::Role;
 use hex_core::{Coord, NodeId, PulseGraph};
 
-/// Port order of the augmented node fan.
-pub const AUG_PORTS: [&str; 6] = [
-    "left",
-    "lower-left-left",
-    "lower-left",
-    "lower-right",
-    "lower-right-right",
-    "right",
-];
-
 /// The augmented guard: adjacent pairs of the six-port fan.
 pub const AUG_GUARD: [(u8, u8); 5] = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)];
 

@@ -1,30 +1,29 @@
 #!/usr/bin/env bash
 # Output digests of every hex-bench binary: build the figure/table
-# drivers, run each at a small run count, and record one
-# `sha256  name` line per binary (a hash of its stdout) as
-# BIN_DIGESTS.txt. The output is a pure function of the engine, the
-# analysis pipeline and the seed; CI reruns this script and compares
-# the result with the committed file byte for byte, so a change that
-# alters any binary's printed bytes has to re-record it on purpose.
+# drivers, run each at HEX_RUNS=2, and record one `sha256  name` line
+# per binary (a hash of its stdout) as BIN_DIGESTS.txt. The output is a
+# pure function of the engine, the analysis pipeline and the seed; CI
+# reruns this script and compares the result with the committed file
+# byte for byte, so a change that alters any binary's printed bytes has
+# to re-record it on purpose. The run count is fixed and the knobs that
+# change stdout (HEX_SEED, HEX_EMIT) are cleared, so an exported knob
+# cannot leak into the recorded digests. Stderr is left alone, so a
+# failing binary's panic reaches the log.
 #
 # Usage: scripts/bin_digests.sh [output-file]   (default: BIN_DIGESTS.txt)
-#
-# Knobs:
-#   HEX_RUNS   runs per configuration, default 2 (the committed file
-#              is recorded at 2; another value gives other digests)
 set -euo pipefail
 export LC_ALL=C
 cd "$(dirname "$0")/.."
 
 out="${1:-BIN_DIGESTS.txt}"
-runs="${HEX_RUNS:-2}"
 
 cargo build -q --release -p hex-bench --bins
 
 tmp="$(mktemp)"
+trap 'rm -f "$tmp"' EXIT
 for src in crates/hex-bench/src/bin/*.rs; do
   name="$(basename "$src" .rs)"
-  digest="$(HEX_RUNS="$runs" "target/release/$name" 2>/dev/null | sha256sum | cut -d' ' -f1)"
+  digest="$(env -u HEX_SEED -u HEX_EMIT HEX_RUNS=2 "target/release/$name" | sha256sum | cut -d' ' -f1)"
   echo "$digest  $name" >> "$tmp"
 done
 mv "$tmp" "$out"

@@ -11,6 +11,13 @@
 //! log-depth sift of a heap. Pushes are O(1); pops are O(bucket occupancy)
 //! amortized.
 //!
+//! Each bucket keeps its events in push order, and every event of one
+//! instant hashes to one bucket, so a time tie is broken by position: a
+//! pop takes the first earliest slot of its window, and a batch drain
+//! moves a window out in one pass and orders it with a stable sort on
+//! time alone. The bucket width and count are powers of two, so hashing
+//! an instant to its bucket is a shift and a mask.
+//!
 //! The deterministic contract is identical to [`crate::EventQueue`], and
 //! property-tested against it, batch drains included:
 //!
@@ -45,16 +52,29 @@ use crate::event::QueuedEvent;
 use crate::time::{Duration, Time};
 
 /// An event with its deterministic `(time, seq)` key.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Slot<E> {
     at: Time,
     seq: u64,
     payload: E,
 }
 
+/// `log2` of the widest bucket a ring uses (`2^62` ps), so the width
+/// itself stays an `i64`.
+const MAX_SHIFT: u32 = 62;
+
+/// `log2` of the bucket width a ring uses for a requested `width` (> 0
+/// ps): the next power of two at or above it, at most `2^62`.
+fn width_shift(width: i64) -> u32 {
+    (width as u64)
+        .next_power_of_two()
+        .trailing_zeros()
+        .min(MAX_SHIFT)
+}
+
 /// The ring geometry a [`CalendarQueue`] would pick for a workload with
 /// the given maximum scheduling increment and expected resident event
-/// count: `(bucket width in ps, bucket count)`.
+/// count: `(bucket width in ps, bucket count)`, both powers of two.
 ///
 /// The bucket count tracks the resident set (one event per bucket is the
 /// O(1) sweet spot) and the width is chosen so one lap of the ring covers
@@ -64,7 +84,7 @@ pub fn profile_geometry(max_increment: Duration, expected_resident: usize) -> (i
     let buckets = expected_resident.clamp(16, 1 << 15).next_power_of_two();
     let inc = max_increment.ps().max(1);
     let width = (inc + buckets as i64 - 1) / buckets as i64;
-    (width.max(1), buckets)
+    (1 << width_shift(width), buckets)
 }
 
 /// A deterministic bounded-horizon calendar/ladder future event list.
@@ -72,9 +92,13 @@ pub fn profile_geometry(max_increment: Duration, expected_resident: usize) -> (i
 /// See the [module docs](self) for the contract and an example.
 #[derive(Debug, Clone)]
 pub struct CalendarQueue<E> {
+    /// The ring. Each bucket holds its slots in push order, which is what
+    /// breaks time ties (every slot of one instant lives in one bucket).
     buckets: Vec<Vec<Slot<E>>>,
-    /// Bucket width in picoseconds (> 0).
-    width: i64,
+    /// `log2` of the bucket width in picoseconds.
+    shift: u32,
+    /// Bucket count − 1 (the count is a power of two).
+    mask: usize,
     /// Ring index owning the current window.
     cur: usize,
     /// Exclusive upper bound of the current window, in *biased* ps space
@@ -89,16 +113,13 @@ pub struct CalendarQueue<E> {
     next_seq: u64,
     now: Time,
     popped: u64,
-    /// Per-window staging area for [`CalendarQueue::drain_bucket`]:
-    /// slots pulled out of one window get `(time, seq)`-sorted here
-    /// before moving into the caller's batch. Kept on the queue so
-    /// batched draining allocates nothing in steady state.
-    stage: Vec<Slot<E>>,
 }
 
 impl<E> CalendarQueue<E> {
     /// A queue with explicit ring geometry: `buckets` rings of `width`
-    /// picoseconds each. Any geometry is *correct*;
+    /// picoseconds each, both rounded up to powers of two (the width to
+    /// at most `2^62` ps) so that hashing an instant to its bucket is a
+    /// shift and a mask. Any geometry is *correct*;
     /// [`for_profile`](CalendarQueue::for_profile) picks a fast one.
     ///
     /// # Panics
@@ -107,9 +128,11 @@ impl<E> CalendarQueue<E> {
     pub fn with_geometry(width: Duration, buckets: usize) -> Self {
         assert!(width.ps() > 0, "bucket width must be positive: {width:?}");
         assert!(buckets > 0, "need at least one bucket");
+        let buckets = buckets.next_power_of_two();
         CalendarQueue {
             buckets: (0..buckets).map(|_| Vec::new()).collect(),
-            width: width.ps(),
+            shift: width_shift(width.ps()),
+            mask: buckets - 1,
             cur: 0,
             window_end: 0,
             started: false,
@@ -117,7 +140,6 @@ impl<E> CalendarQueue<E> {
             next_seq: 0,
             now: Time::MIN,
             popped: 0,
-            stage: Vec::new(),
         }
     }
 
@@ -129,12 +151,12 @@ impl<E> CalendarQueue<E> {
         CalendarQueue::with_geometry(Duration::from_ps(width), buckets)
     }
 
-    /// The ring's bucket width in picoseconds.
+    /// The ring's bucket width in picoseconds (a power of two).
     pub fn bucket_width(&self) -> i64 {
-        self.width
+        1 << self.shift
     }
 
-    /// The ring's bucket count.
+    /// The ring's bucket count (a power of two).
     pub fn bucket_count(&self) -> usize {
         self.buckets.len()
     }
@@ -147,7 +169,6 @@ impl<E> CalendarQueue<E> {
         for b in &mut self.buckets {
             b.clear();
         }
-        self.stage.clear();
         self.cur = 0;
         self.window_end = 0;
         self.started = false;
@@ -187,20 +208,30 @@ impl<E> CalendarQueue<E> {
     /// The tick (bucket-width quotient) of instant `t`, in biased space.
     #[inline]
     fn tick_of(&self, t: i64) -> u64 {
-        Self::biased(t) / self.width as u64
+        Self::biased(t) >> self.shift
     }
 
-    /// The ring index of the bucket owning instant `t`.
+    /// The current window's last instant on the biased tick line; a
+    /// window that a lap walk pushed past the end of time saturates at
+    /// `u64::MAX`. Valid only once `started`.
     #[inline]
-    fn bucket_of(&self, t: i64) -> usize {
-        (self.tick_of(t) % self.buckets.len() as u64) as usize
+    fn window_last(&self) -> u64 {
+        (self.window_end - 1).min(u64::MAX as u128) as u64
     }
 
     /// Anchor the window so it covers instant `t`.
     #[inline]
     fn anchor(&mut self, t: i64) {
-        self.cur = self.bucket_of(t);
-        self.window_end = (self.tick_of(t) as u128 + 1) * self.width as u128;
+        let tick = self.tick_of(t);
+        self.cur = tick as usize & self.mask;
+        self.window_end = (tick as u128 + 1) << self.shift;
+    }
+
+    /// Move the window one bucket along the ring.
+    #[inline]
+    fn step(&mut self) {
+        self.cur = (self.cur + 1) & self.mask;
+        self.window_end += 1u128 << self.shift;
     }
 
     /// Schedule `payload` at absolute time `at`.
@@ -220,7 +251,7 @@ impl<E> CalendarQueue<E> {
         if !self.started {
             self.started = true;
             self.anchor(t);
-        } else if (Self::biased(t) as u128) < self.window_end - self.width as u128 {
+        } else if (Self::biased(t) as u128) < self.window_end - (1u128 << self.shift) {
             // Before the first pop the window only tracks the earliest
             // push; rewind it. (After a pop, `at >= now >= window start`,
             // so this branch is unreachable.)
@@ -228,7 +259,7 @@ impl<E> CalendarQueue<E> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let ix = self.bucket_of(t);
+        let ix = self.tick_of(t) as usize & self.mask;
         self.buckets[ix].push(Slot { at, seq, payload });
         self.len += 1;
     }
@@ -243,20 +274,28 @@ impl<E> CalendarQueue<E> {
         if self.len == 0 {
             return None;
         }
-        let nb = self.buckets.len();
-        for _ in 0..nb {
-            if let Some(ix) = self.best_in_window(self.cur) {
-                return Some(self.take(self.cur, ix));
-            }
-            self.cur = (self.cur + 1) % nb;
-            self.window_end += self.width as u128;
-        }
-        // Sparse far-future tail: jump the window straight to the global
-        // minimum instead of spinning through empty windows.
-        let (bi, ix, at) = self.global_min();
-        self.anchor(at.ps());
-        debug_assert_eq!(bi, self.cur);
-        Some(self.take(bi, ix))
+        let (ix, _) = self.seek();
+        // `remove`, not `swap_remove`: the bucket's push order is what
+        // breaks the time ties of later pops.
+        let slot = self.buckets[self.cur].remove(ix);
+        self.len -= 1;
+        // Pop-time monotonicity: simulated time never runs backwards.
+        // For the calendar this also guards the window-walk logic: a
+        // backwards pop means a lap/window accounting bug, not just a
+        // mis-ordered push.
+        debug_assert!(
+            slot.at >= self.now,
+            "pop-time monotonicity violated: popped {:?} behind now {:?}",
+            slot.at,
+            self.now
+        );
+        self.now = slot.at;
+        self.popped += 1;
+        Some(QueuedEvent {
+            at: slot.at,
+            seq: slot.seq,
+            payload: slot.payload,
+        })
     }
 
     /// Drain a batch of earliest events in one bucket-granular pass.
@@ -267,74 +306,51 @@ impl<E> CalendarQueue<E> {
     /// pending instant. The queue state afterwards (window position,
     /// `now`, `popped`, `len`) is exactly what the same number of
     /// [`pop`](CalendarQueue::pop) calls would leave, but each window is
-    /// emptied wholesale and sorted once instead of re-scanned per pop.
+    /// emptied wholesale, in push order, and put in time order by one
+    /// stable insertion sort instead of re-scanned per pop.
     /// Returns the number of events drained; 0 when the queue is empty
     /// or `first > cap` (the beyond-`cap` event stays pending).
-    pub fn drain_bucket(&mut self, span: Duration, cap: Time, out: &mut Vec<(Time, E)>) -> usize {
+    pub fn drain_bucket(&mut self, span: Duration, cap: Time, out: &mut Vec<(Time, E)>) -> usize
+    where
+        E: Copy,
+    {
         out.clear();
         if self.len == 0 {
             return 0;
         }
-        // Position the window on the earliest pending event, exactly as
-        // `pop` would: walk at most one lap, then jump to the global
-        // minimum if the whole lap came up empty.
-        let nb = self.buckets.len();
-        let mut found = false;
-        for _ in 0..nb {
-            if self.best_in_window(self.cur).is_some() {
-                found = true;
-                break;
-            }
-            self.cur = (self.cur + 1) % nb;
-            self.window_end += self.width as u128;
-        }
-        if !found {
-            let (_, _, at) = self.global_min();
-            self.anchor(at.ps());
-        }
-        let first = self.buckets[self.cur]
-            .iter()
-            .filter(|s| (Self::biased(s.at.ps()) as u128) < self.window_end)
-            .map(|s| s.at)
-            .min()
-            .expect("positioned window holds the minimum");
+        let (_, first) = self.seek();
         if first > cap {
             return 0;
         }
         let limit = cap.min(first.saturating_add(span));
-        let mut drained = 0usize;
-        let mut last = first;
+        let biased_limit = Self::biased(limit.ps());
         loop {
-            // Empty the current window of everything at or before
-            // `limit`. Slots from later ring laps fail the
-            // `at < window_end` test and stay put.
-            let window_end = self.window_end;
-            let bucket = &mut self.buckets[self.cur];
-            let mut i = 0;
-            while i < bucket.len() {
-                if (Self::biased(bucket[i].at.ps()) as u128) < window_end && bucket[i].at <= limit {
-                    self.stage.push(bucket.swap_remove(i));
-                } else {
-                    i += 1;
+            // Move everything of the current window at or before
+            // `limit` into `out` and compact the rest in place, both in
+            // push order. Slots from later ring laps fail the window
+            // test and stay put.
+            let due_last = self.window_last().min(biased_limit);
+            let from = out.len();
+            self.buckets[self.cur].retain(|s| {
+                let due = Self::biased(s.at.ps()) <= due_last;
+                if due {
+                    out.push((s.at, s.payload));
                 }
-            }
-            if !self.stage.is_empty() {
-                // Windows never overlap in time, so sorting per window
-                // and appending yields the global (time, seq) order.
-                self.stage.sort_unstable_by_key(|s| (s.at, s.seq));
-                drained += self.stage.len();
-                last = self.stage.last().expect("non-empty stage").at;
-                out.extend(self.stage.drain(..).map(|s| (s.at, s.payload)));
-            }
+                !due
+            });
+            // Push order already breaks time ties, so a stable sort on
+            // time alone gives `(time, seq)` order; windows never
+            // overlap in time, so appending them keeps it global.
+            insertion_sort_by_time(&mut out[from..]);
             // Stop once the window has passed `limit` (every later
             // window holds strictly later events) or nothing is left.
-            if self.window_end > Self::biased(limit.ps()) as u128 || drained == self.len {
+            if self.window_end > biased_limit as u128 || out.len() == self.len {
                 break;
             }
-            self.cur = (self.cur + 1) % nb;
-            self.window_end += self.width as u128;
+            self.step();
         }
-        debug_assert!(drained > 0, "first <= limit guarantees progress");
+        let drained = out.len();
+        let last = out.last().expect("first <= limit guarantees progress").0;
         debug_assert!(
             first >= self.now,
             "pop-time monotonicity violated: batch starts {:?} behind now {:?}",
@@ -350,61 +366,48 @@ impl<E> CalendarQueue<E> {
         drained
     }
 
-    /// Index of the minimal `(time, seq)` slot of `bucket` that falls
-    /// inside the current window, if any.
-    #[inline]
-    fn best_in_window(&self, bucket: usize) -> Option<usize> {
-        let mut best: Option<(Time, u64, usize)> = None;
-        for (i, s) in self.buckets[bucket].iter().enumerate() {
-            if (Self::biased(s.at.ps()) as u128) < self.window_end {
-                let key = (s.at, s.seq, i);
-                if best.map_or(true, |b| (key.0, key.1) < (b.0, b.1)) {
-                    best = Some(key);
-                }
+    /// Walk the window to the earliest pending event, as every pop does:
+    /// at most one lap of the ring, then, if the whole lap came up empty
+    /// (a sparse far-future tail), a jump straight to the global minimum
+    /// instead of spinning through empty windows. Returns the event's
+    /// index in the current bucket and its time. Only called with
+    /// `len > 0`.
+    fn seek(&mut self) -> (usize, Time) {
+        for _ in 0..self.buckets.len() {
+            if let Some(found) = self.window_min() {
+                return found;
             }
+            self.step();
         }
-        best.map(|(_, _, i)| i)
+        let at = self.global_min();
+        self.anchor(at.ps());
+        self.window_min()
+            .expect("the global minimum lies in its own window")
     }
 
-    /// Position and time of the globally minimal `(time, seq)` slot.
-    /// Only called with `len > 0`.
-    fn global_min(&self) -> (usize, usize, Time) {
-        let mut best: Option<(Time, u64, usize, usize)> = None;
-        for (bi, bucket) in self.buckets.iter().enumerate() {
-            for (i, s) in bucket.iter().enumerate() {
-                if best.map_or(true, |b| (s.at, s.seq) < (b.0, b.1)) {
-                    best = Some((s.at, s.seq, bi, i));
-                }
+    /// Index and time of the earliest slot of the current bucket inside
+    /// the current window, if any. Of equal times the first in the
+    /// bucket wins: it was pushed first.
+    #[inline]
+    fn window_min(&self) -> Option<(usize, Time)> {
+        let last = self.window_last();
+        let mut best: Option<(usize, Time)> = None;
+        for (i, s) in self.buckets[self.cur].iter().enumerate() {
+            if Self::biased(s.at.ps()) <= last && best.map_or(true, |(_, t)| s.at < t) {
+                best = Some((i, s.at));
             }
         }
-        let (at, _, bi, i) = best.expect("global_min on an empty queue");
-        (bi, i, at)
+        best
     }
 
-    /// Remove slot `ix` of bucket `bi` and account for the pop.
-    #[inline]
-    fn take(&mut self, bi: usize, ix: usize) -> QueuedEvent<E> {
-        // swap_remove is fine: selection is by full (time, seq) key, so
-        // in-bucket storage order never influences pop order.
-        let slot = self.buckets[bi].swap_remove(ix);
-        self.len -= 1;
-        // Pop-time monotonicity: simulated time never runs backwards.
-        // For the calendar this also guards the window-walk logic: a
-        // backwards pop means a lap/window accounting bug, not just a
-        // mis-ordered push.
-        debug_assert!(
-            slot.at >= self.now,
-            "pop-time monotonicity violated: popped {:?} behind now {:?}",
-            slot.at,
-            self.now
-        );
-        self.now = slot.at;
-        self.popped += 1;
-        QueuedEvent {
-            at: slot.at,
-            seq: slot.seq,
-            payload: slot.payload,
-        }
+    /// The earliest pending instant. Only called with `len > 0`.
+    fn global_min(&self) -> Time {
+        self.buckets
+            .iter()
+            .flatten()
+            .map(|s| s.at)
+            .min()
+            .expect("global_min on an empty queue")
     }
 
     /// Current simulated time (time of the last popped event).
@@ -425,6 +428,20 @@ impl<E> CalendarQueue<E> {
     /// Total number of events popped so far (simulation work metric).
     pub fn popped(&self) -> u64 {
         self.popped
+    }
+}
+
+/// Stable insertion sort on time alone: equal times keep their order.
+/// A drained window is short and often nearly sorted already.
+fn insertion_sort_by_time<E: Copy>(v: &mut [(Time, E)]) {
+    for i in 1..v.len() {
+        let x = v[i];
+        let mut j = i;
+        while j > 0 && v[j - 1].0 > x.0 {
+            v[j] = v[j - 1];
+            j -= 1;
+        }
+        v[j] = x;
     }
 }
 
@@ -685,11 +702,103 @@ mod tests {
         for (inc, resident) in [(1i64, 1usize), (95_000, 4_000), (10_000_000, 100)] {
             let (width, buckets) = profile_geometry(Duration::from_ps(inc), resident);
             assert!(width >= 1);
-            assert!(buckets.is_power_of_two());
+            assert!((width as u64).is_power_of_two() && buckets.is_power_of_two());
+            let q = CalendarQueue::<()>::for_profile(Duration::from_ps(inc), resident);
+            assert_eq!((q.bucket_width(), q.bucket_count()), (width, buckets));
             assert!(
                 width * buckets as i64 >= inc,
                 "ring {width}×{buckets} shorter than increment {inc}"
             );
+        }
+    }
+
+    #[test]
+    fn geometry_rounds_up_to_powers_of_two() {
+        for (width, buckets, want) in [
+            (1i64, 1usize, (1i64, 1usize)),
+            (7, 3, (8, 4)),
+            (16, 8, (16, 8)),
+            (17, 9, (32, 16)),
+            ((1 << 62) + 1, 2, (1 << 62, 2)),
+            (i64::MAX, 1, (1 << 62, 1)),
+        ] {
+            let mut q = CalendarQueue::with_geometry(Duration::from_ps(width), buckets);
+            assert_eq!(
+                (q.bucket_width(), q.bucket_count()),
+                want,
+                "{width}×{buckets}"
+            );
+            // The capped widest ring still orders the whole time line.
+            for t in [i64::MAX, 0, i64::MIN, i64::MAX] {
+                q.push(Time::from_ps(t), t);
+            }
+            let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+            assert_eq!(order, vec![i64::MIN, 0, i64::MAX, i64::MAX]);
+        }
+    }
+
+    /// FIFO ties through a partial window: several events share an
+    /// instant inside a window that the batch limit `cap` cuts through,
+    /// and `drain_bucket` and `pop` take turns on it. Every event must
+    /// leave in the reference heap's `(at, seq, payload)` order, on a
+    /// one-bucket ring, on a geometry the ring rounds up, and on a
+    /// profile ring whose first window holds every event. A `pop` that
+    /// reorders the rest of its bucket (`swap_remove`) fails here.
+    #[test]
+    fn fifo_ties_through_a_partial_window() {
+        let rings = [
+            CalendarQueue::with_geometry(Duration::from_ps(1), 1),
+            CalendarQueue::with_geometry(Duration::from_ps(7), 3),
+            CalendarQueue::for_profile(Duration::from_ps(1_000), 4),
+        ];
+        for mut cal in rings {
+            let geometry = (cal.bucket_width(), cal.bucket_count());
+            let mut bin = EventQueue::new();
+            let mut next = 0usize;
+            let mut push = |cal: &mut CalendarQueue<usize>, bin: &mut EventQueue<usize>, t: i64| {
+                cal.push(Time::from_ps(t), next);
+                bin.push(Time::from_ps(t), next);
+                next += 1;
+            };
+            let pop = |cal: &mut CalendarQueue<usize>, bin: &mut EventQueue<usize>| {
+                let (a, b) = (cal.pop().unwrap(), bin.pop().unwrap());
+                assert_eq!(
+                    (a.at, a.seq, a.payload),
+                    (b.at, b.seq, b.payload),
+                    "{geometry:?}"
+                );
+                a.at.ps()
+            };
+            let mut batch = Vec::new();
+            let mut drain = |cal: &mut CalendarQueue<usize>,
+                             bin: &mut EventQueue<usize>,
+                             span: i64,
+                             cap: i64| {
+                cal.drain_bucket(Duration::from_ps(span), Time::from_ps(cap), &mut batch);
+                for &(at, p) in &batch {
+                    let b = bin.pop().unwrap();
+                    assert_eq!((at, p, p as u64), (b.at, b.payload, b.seq), "{geometry:?}");
+                }
+                assert_eq!((cal.len(), cal.popped()), (bin.len(), bin.popped()));
+                batch.iter().map(|&(at, _)| at.ps()).collect::<Vec<_>>()
+            };
+            // Ties of four at 10 ps and three at 14 ps, pushed out of
+            // time order among the rest.
+            for t in [12, 10, 10, 9, 10, 14, 14, 15, 14, 10] {
+                push(&mut cal, &mut bin, t);
+            }
+            assert_eq!(pop(&mut cal, &mut bin), 9);
+            // `cap` cuts the window after the 10 ps ties.
+            assert_eq!(drain(&mut cal, &mut bin, 100, 10), vec![10; 4]);
+            assert_eq!(pop(&mut cal, &mut bin), 12);
+            assert_eq!(pop(&mut cal, &mut bin), 14);
+            // Two more ties at `now`, behind the two left pending.
+            push(&mut cal, &mut bin, 14);
+            push(&mut cal, &mut bin, 14);
+            assert_eq!(pop(&mut cal, &mut bin), 14);
+            assert_eq!(drain(&mut cal, &mut bin, 0, i64::MAX), vec![14; 3]);
+            assert_eq!(drain(&mut cal, &mut bin, 100, i64::MAX), vec![15]);
+            assert!(cal.is_empty() && bin.is_empty());
         }
     }
 

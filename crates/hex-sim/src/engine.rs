@@ -237,7 +237,10 @@ enum Ev {
 
 /// The calendar ring geometry for a configuration on an `n`-node graph:
 /// bucket count tracks the resident event set (≈ one pending timer per
-/// node), one ring lap covers the maximum scheduling increment.
+/// node), one ring lap covers the maximum scheduling increment. The
+/// width is the power of two that [`CalendarQueue::with_geometry`]
+/// rounds it up to, so `SimScratch::prepare` recognises a ring it can
+/// recycle.
 fn calendar_geometry(cfg: &SimConfig, nodes: usize) -> (i64, usize) {
     let (_, nb) = hex_des::calendar::profile_geometry(cfg.max_increment(), nodes);
     let nb_i = nb as i64;
@@ -246,15 +249,16 @@ fn calendar_geometry(cfg: &SimConfig, nodes: usize) -> (i64, usize) {
     // fire), so the width is tuned to them rather than to the slowest
     // timeout: at least one ring lap must cover a whole delivery hop
     // (else every delivery pop degenerates to a full-lap scan), and a
-    // hop's jitter ε should spread over ~4 buckets so concurrent
-    // deliveries don't pile into one. Sparse far-future timeouts beyond
-    // the lap (e.g. the generous 10 µs sleeps of single-pulse runs) just
-    // wait out extra laps — measured cheaper than widening the buckets
-    // to reach them (see `single_pulse/grid_scratch`).
+    // hop's jitter ε should spread over ~4 buckets before rounding (2
+    // to 4 after it) so concurrent deliveries don't pile into one.
+    // Sparse far-future timeouts beyond the lap (e.g. the generous
+    // 10 µs sleeps of single-pulse runs) just wait out extra laps —
+    // measured cheaper than widening the buckets to reach them (see
+    // `single_pulse/grid_scratch`).
     let lap_covers_hop = (env.hi.ps().max(1) + nb_i - 1) / nb_i;
     let jitter_spread = (env.uncertainty().ps() / 4).max(lap_covers_hop);
     let width = (cfg.max_increment().ps().max(1) / nb_i).clamp(lap_covers_hop, jitter_spread);
-    (width.max(1), nb)
+    ((width.max(1) as u64).next_power_of_two() as i64, nb)
 }
 
 /// Reusable simulation working memory: the event queue, per-node states,

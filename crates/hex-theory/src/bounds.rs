@@ -100,11 +100,7 @@ impl Theorem1 {
         if self.potential0 == Duration::ZERO {
             self.steady_intra()
         } else if layer <= 2 * self.width - 3 {
-            self.transient_intra(layer).min(self.steady_intra().max(
-                // Never worse than the Lemma-3-stabilized regime once past
-                // W−2 layers.
-                self.transient_intra(layer),
-            ))
+            self.transient_intra(layer)
         } else {
             self.steady_intra()
         }

@@ -18,11 +18,11 @@
 # The working-tree side is `git stash create` (tracked files; new files
 # count once staged), or HEAD when the tree is clean. Progress and one
 # summary sentence per workload go to stderr; the scratch directory with
-# the raw result lines and the build and run logs is kept and named
-# there. A metric is "unresolved" when the parent's IQR over its median
-# exceeds the metric's bound: a change of that size is then inside the
-# host's noise. A 30 s run takes about 45 s with its checks, so the
-# default 10 pairs of 3 workloads take about 45 minutes.
+# each run's output, the raw result lines and the build logs is kept and
+# named there. A metric is "unresolved" when the parent's IQR over its
+# median exceeds the metric's bound: a change of that size is then inside
+# the host's noise. A 30 s run takes about 40 s with its checks; the
+# default 10 pairs of 3 workloads took 42 minutes on 2 cores.
 set -euo pipefail
 export LC_ALL=C
 cd "$(dirname "$0")/.."
@@ -56,14 +56,18 @@ for side in parent change; do
     { echo "ab: building $side failed, see $scratch/$side.log" >&2; exit 1; }
 done
 
-# run <side> <workload> <seed>: one benchmark run, its JSON result line
-# appended to runs.tsv (a failed run records "correct": false).
+# run <side> <workload> <seed>: one benchmark run. Its stdout (the notes,
+# such as hexd_sweep's latency percentiles, then the JSON result line) is
+# kept as <side>-<workload>-<seed>.out, and the result line is appended
+# to runs.tsv (a failed run records "correct": false).
 run() {
-  local side="$1" workload="$2" seed="$3" line
-  line="$(cd "$scratch/$side" &&
+  local side="$1" workload="$2" seed="$3" out line
+  out="$scratch/$side-$workload-$seed.out"
+  (cd "$scratch/$side" &&
     CARGO_TARGET_DIR="$scratch/$side-target" python3 perfbench/run.py \
-      --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
-      2>>"$scratch/$side.log" | tail -n 1)" || true
+      --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) \
+    >"$out" 2>>"$scratch/$side.log" || true
+  line="$(tail -n 1 "$out")"
   [ -n "$line" ] || line='{"correct": false}'
   printf '%s\t%s\t%s\t%s\n' "$workload" "$seed" "$side" "$line" >>"$scratch/runs.tsv"
 }

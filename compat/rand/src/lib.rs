@@ -326,7 +326,7 @@ mod tests {
         assert!((0..64).all(|_| r.gen_bool(1.0)));
     }
 
-    /// Today's formula before the divisionless fast path: compute
+    /// The bounded draw without its divisionless fast path: computes
     /// `2^64 mod span` on every call.
     fn always_divide<R: super::RngCore>(rng: &mut R, lo: u64, hi: u64) -> u64 {
         let span = hi.wrapping_sub(lo).wrapping_add(1);

@@ -252,9 +252,11 @@ fn calendar_geometry(cfg: &SimConfig, nodes: usize) -> (i64, usize) {
     // hop's jitter ε should spread over ~4 buckets before rounding (2
     // to 4 after it) so concurrent deliveries don't pile into one.
     // Sparse far-future timeouts beyond the lap (e.g. the generous
-    // 10 µs sleeps of single-pulse runs) just wait out extra laps —
-    // measured cheaper than widening the buckets to reach them (see
-    // `single_pulse/grid_scratch`).
+    // 10 µs sleeps of single-pulse runs) just wait out extra laps. That
+    // measured cheaper than widening the buckets to reach them on
+    // `single_pulse/grid_scratch` before widths became powers of two;
+    // since then only its 20x20 and 50x20 medians still favour it, and
+    // runs on a fresh ring (`single_pulse/grid`) favour wider buckets.
     let lap_covers_hop = (env.hi.ps().max(1) + nb_i - 1) / nb_i;
     let jitter_spread = (env.uncertainty().ps() / 4).max(lap_covers_hop);
     let width = (cfg.max_increment().ps().max(1) / nb_i).clamp(lap_covers_hop, jitter_spread);

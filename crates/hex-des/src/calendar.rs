@@ -59,17 +59,19 @@ struct Slot<E> {
     payload: E,
 }
 
-/// `log2` of the widest bucket a ring uses (`2^62` ps), so the width
-/// itself stays an `i64`.
-const MAX_SHIFT: u32 = 62;
-
-/// `log2` of the bucket width a ring uses for a requested `width` (> 0
-/// ps): the next power of two at or above it, at most `2^62`.
-fn width_shift(width: i64) -> u32 {
-    (width as u64)
-        .next_power_of_two()
-        .trailing_zeros()
-        .min(MAX_SHIFT)
+/// The geometry a ring uses for a requested bucket `width` and count:
+/// `(bucket width in ps, bucket count)`, each rounded up to a power of
+/// two (the width to at most `2^62` ps, so it stays an `i64`).
+/// [`CalendarQueue::with_geometry`] applies it.
+///
+/// # Panics
+///
+/// Panics if `width` is non-positive or `buckets` is zero.
+pub fn ring_geometry(width: Duration, buckets: usize) -> (i64, usize) {
+    assert!(width.ps() > 0, "bucket width must be positive: {width:?}");
+    assert!(buckets > 0, "need at least one bucket");
+    let width = (width.ps() as u64).next_power_of_two().min(1 << 62);
+    (width as i64, buckets.next_power_of_two())
 }
 
 /// The ring geometry a [`CalendarQueue`] would pick for a workload with
@@ -84,7 +86,7 @@ pub fn profile_geometry(max_increment: Duration, expected_resident: usize) -> (i
     let buckets = expected_resident.clamp(16, 1 << 15).next_power_of_two();
     let inc = max_increment.ps().max(1);
     let width = (inc + buckets as i64 - 1) / buckets as i64;
-    (1 << width_shift(width), buckets)
+    ring_geometry(Duration::from_ps(width), buckets)
 }
 
 /// A deterministic bounded-horizon calendar/ladder future event list.
@@ -117,8 +119,8 @@ pub struct CalendarQueue<E> {
 
 impl<E> CalendarQueue<E> {
     /// A queue with explicit ring geometry: `buckets` rings of `width`
-    /// picoseconds each, both rounded up to powers of two (the width to
-    /// at most `2^62` ps) so that hashing an instant to its bucket is a
+    /// picoseconds each, both rounded up to powers of two by
+    /// [`ring_geometry`] so that hashing an instant to its bucket is a
     /// shift and a mask. Any geometry is *correct*;
     /// [`for_profile`](CalendarQueue::for_profile) picks a fast one.
     ///
@@ -126,12 +128,10 @@ impl<E> CalendarQueue<E> {
     ///
     /// Panics if `width` is non-positive or `buckets` is zero.
     pub fn with_geometry(width: Duration, buckets: usize) -> Self {
-        assert!(width.ps() > 0, "bucket width must be positive: {width:?}");
-        assert!(buckets > 0, "need at least one bucket");
-        let buckets = buckets.next_power_of_two();
+        let (width, buckets) = ring_geometry(width, buckets);
         CalendarQueue {
             buckets: (0..buckets).map(|_| Vec::new()).collect(),
-            shift: width_shift(width.ps()),
+            shift: width.trailing_zeros(),
             mask: buckets - 1,
             cur: 0,
             window_end: 0,
@@ -722,6 +722,7 @@ mod tests {
             ((1 << 62) + 1, 2, (1 << 62, 2)),
             (i64::MAX, 1, (1 << 62, 1)),
         ] {
+            assert_eq!(ring_geometry(Duration::from_ps(width), buckets), want);
             let mut q = CalendarQueue::with_geometry(Duration::from_ps(width), buckets);
             assert_eq!(
                 (q.bucket_width(), q.bucket_count()),

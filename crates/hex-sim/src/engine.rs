@@ -237,10 +237,9 @@ enum Ev {
 
 /// The calendar ring geometry for a configuration on an `n`-node graph:
 /// bucket count tracks the resident event set (≈ one pending timer per
-/// node), one ring lap covers the maximum scheduling increment. The
-/// width is the power of two that [`CalendarQueue::with_geometry`]
-/// rounds it up to, so `SimScratch::prepare` recognises a ring it can
-/// recycle.
+/// node), one ring lap covers the maximum scheduling increment. It is
+/// the geometry the ring will use ([`hex_des::calendar::ring_geometry`]),
+/// so `SimScratch::prepare` recognises a ring it can recycle.
 fn calendar_geometry(cfg: &SimConfig, nodes: usize) -> (i64, usize) {
     let (_, nb) = hex_des::calendar::profile_geometry(cfg.max_increment(), nodes);
     let nb_i = nb as i64;
@@ -260,7 +259,7 @@ fn calendar_geometry(cfg: &SimConfig, nodes: usize) -> (i64, usize) {
     let lap_covers_hop = (env.hi.ps().max(1) + nb_i - 1) / nb_i;
     let jitter_spread = (env.uncertainty().ps() / 4).max(lap_covers_hop);
     let width = (cfg.max_increment().ps().max(1) / nb_i).clamp(lap_covers_hop, jitter_spread);
-    ((width.max(1) as u64).next_power_of_two() as i64, nb)
+    hex_des::calendar::ring_geometry(Duration::from_ps(width.max(1)), nb)
 }
 
 /// Reusable simulation working memory: the event queue, per-node states,

@@ -307,7 +307,7 @@ impl<E> CalendarQueue<E> {
     /// `now`, `popped`, `len`) is exactly what the same number of
     /// [`pop`](CalendarQueue::pop) calls would leave, but each window is
     /// emptied wholesale, in push order, and put in time order by one
-    /// stable insertion sort instead of re-scanned per pop.
+    /// stable sort instead of re-scanned per pop.
     /// Returns the number of events drained; 0 when the queue is empty
     /// or `first > cap` (the beyond-`cap` event stays pending).
     pub fn drain_bucket(&mut self, span: Duration, cap: Time, out: &mut Vec<(Time, E)>) -> usize
@@ -341,7 +341,7 @@ impl<E> CalendarQueue<E> {
             // Push order already breaks time ties, so a stable sort on
             // time alone gives `(time, seq)` order; windows never
             // overlap in time, so appending them keeps it global.
-            insertion_sort_by_time(&mut out[from..]);
+            out[from..].sort_by_key(|e| e.0);
             // Stop once the window has passed `limit` (every later
             // window holds strictly later events) or nothing is left.
             if self.window_end > biased_limit as u128 || out.len() == self.len {
@@ -428,20 +428,6 @@ impl<E> CalendarQueue<E> {
     /// Total number of events popped so far (simulation work metric).
     pub fn popped(&self) -> u64 {
         self.popped
-    }
-}
-
-/// Stable insertion sort on time alone: equal times keep their order.
-/// A drained window is short and often nearly sorted already.
-fn insertion_sort_by_time<E: Copy>(v: &mut [(Time, E)]) {
-    for i in 1..v.len() {
-        let x = v[i];
-        let mut j = i;
-        while j > 0 && v[j - 1].0 > x.0 {
-            v[j] = v[j - 1];
-            j -= 1;
-        }
-        v[j] = x;
     }
 }
 

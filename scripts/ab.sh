@@ -10,10 +10,9 @@
 # for the workload, the failed and attempted operations, both commits and
 # host_cores.
 #
-# Usage: scripts/ab.sh <parent-rev> [pairs] [seconds] > ab.json
-#   pairs    alternating pairs per workload (default 10)
-#   seconds  measuring window of each run (default: BENCHMARK.json's
-#            run_seconds)
+# Usage: scripts/ab.sh <parent-rev> [pairs] > ab.json
+#   pairs    alternating pairs per workload (default 10); every run
+#            measures for BENCHMARK.json's run_seconds
 #
 # The working-tree side is `git stash create` (tracked files; new files
 # count once staged), or HEAD when the tree is clean. Progress and one
@@ -27,10 +26,10 @@ set -euo pipefail
 export LC_ALL=C
 cd "$(dirname "$0")/.."
 
-usage="usage: scripts/ab.sh <parent-rev> [pairs] [seconds]"
+usage="usage: scripts/ab.sh <parent-rev> [pairs]"
 parent_rev="${1:?$usage}"
 pairs="${2:-10}"
-seconds="${3:-$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')}"
+seconds="$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')"
 cores="$(nproc 2>/dev/null || echo 1)"
 
 parent_commit="$(git rev-parse --short "$parent_rev^{commit}")"

@@ -79,28 +79,23 @@ pub trait SampleRange<T> {
 
 /// Uniform draw from the closed interval `[lo, hi]` over the `u64` lattice.
 ///
-/// `span == 0` encodes the full 64-bit range. Uses Lemire's nearly
-/// divisionless widening multiplication with rejection (ACM TOMACS 2019),
-/// so the draw is exactly uniform.
+/// `span == 0` encodes the full 64-bit range. Uses Lemire-style widening
+/// multiplication with rejection, so the draw is exactly uniform.
 fn uniform_u64_inclusive<R: RngCore + ?Sized>(rng: &mut R, lo: u64, hi: u64) -> u64 {
     debug_assert!(lo <= hi);
     let span = hi.wrapping_sub(lo).wrapping_add(1); // 0 == 2^64
     if span == 0 {
         return rng.next_u64();
     }
-    // Widening multiply; reject the biased low region `[0, 2^64 mod
-    // span)`. That region lies below `span`, so a low word at or above
-    // `span` is accepted without computing its bound, and the division
-    // runs only on the rare draw that might be rejected. The decisions,
-    // and so the stream, are those of always dividing.
-    let mut m = (rng.next_u64() as u128) * (span as u128);
-    if (m as u64) < span {
-        let zone = span.wrapping_neg() % span; // 2^64 mod span
-        while (m as u64) < zone {
-            m = (rng.next_u64() as u128) * (span as u128);
+    // Widening multiply; reject the biased low region.
+    let zone = span.wrapping_neg() % span; // 2^64 mod span
+    loop {
+        let x = rng.next_u64();
+        let m = (x as u128) * (span as u128);
+        if (m as u64) >= zone {
+            return lo.wrapping_add((m >> 64) as u64);
         }
     }
-    lo.wrapping_add((m >> 64) as u64)
 }
 
 macro_rules! impl_sample_range_int {
@@ -326,24 +321,7 @@ mod tests {
         assert!((0..64).all(|_| r.gen_bool(1.0)));
     }
 
-    /// The bounded draw without its divisionless fast path: computes
-    /// `2^64 mod span` on every call.
-    fn always_divide<R: super::RngCore>(rng: &mut R, lo: u64, hi: u64) -> u64 {
-        let span = hi.wrapping_sub(lo).wrapping_add(1);
-        if span == 0 {
-            return rng.next_u64();
-        }
-        let zone = span.wrapping_neg() % span;
-        loop {
-            let m = (rng.next_u64() as u128) * (span as u128);
-            if (m as u64) >= zone {
-                return lo.wrapping_add((m >> 64) as u64);
-            }
-        }
-    }
-
     /// A generator that counts its raw draws.
-    #[derive(Clone, PartialEq, Debug)]
     struct Counted(StdRng, u64);
 
     impl RngCore for Counted {
@@ -353,52 +331,47 @@ mod tests {
         }
     }
 
-    /// The divisionless draw makes the same accept/reject decisions as
-    /// always dividing, so it returns the same values and consumes the
-    /// same raw draws, over random `lo <= hi` and over spans just past
-    /// `2^63`, which reject about half their draws (the paper's ~1 ns
-    /// spans almost never reject).
+    /// Spans just past a power of two reject a large share of their raw
+    /// draws, which the paper's ~1 ns spans almost never do: `2^63 + 1`
+    /// rejects `(2^63 - 1) / 2^64`, about 1/2, and `3 * 2^62` rejects
+    /// exactly 1/4. Values stay in range, the rejections run at those
+    /// rates, and the start of one such stream is pinned, so a change to
+    /// the rejection rule must keep every value and every raw draw.
     #[test]
-    fn divisionless_draw_matches_always_dividing() {
-        let mut pick = StdRng::seed_from_u64(5);
-        let mut bounds: Vec<(u64, u64)> = (0..2_000)
-            .map(|_| {
-                let (a, b) = (pick.gen::<u64>(), pick.gen::<u64>());
-                // Narrow spans as often as wide ones.
-                let b = if pick.gen_bool(0.5) {
-                    a.wrapping_add(b >> 40)
-                } else {
-                    b
-                };
-                (a.min(b), a.max(b))
-            })
-            .collect();
+    fn wide_spans_take_the_rejection_path() {
         let half = 1u64 << 63;
-        bounds.extend([
-            (0, half),         // span 2^63 + 1
-            (7, half + 7),     // span 2^63 + 1, shifted
-            (0, u64::MAX - 1), // span 2^64 − 1
-            (1, u64::MAX),     // span 2^64 − 1, shifted
-            (0, u64::MAX),     // span 2^64: no rejection zone
-            (3, 3),            // span 1
-            (0, half / 3 * 2), // span ≈ 2^64 / 3: rejects ~1/3
-        ]);
-        let (mut calls, mut draws) = (0u64, 0u64);
-        for (i, &(lo, hi)) in bounds.iter().enumerate() {
-            let mut a = Counted(StdRng::seed_from_u64(1_000 + i as u64), 0);
-            let mut b = a.clone();
-            for _ in 0..64 {
-                let x = super::uniform_u64_inclusive(&mut a, lo, hi);
-                let y = always_divide(&mut b, lo, hi);
-                assert_eq!(x, y, "[{lo}, {hi}]");
-                assert!((lo..=hi).contains(&x));
-                assert_eq!(a, b, "raw draws consumed for [{lo}, {hi}]");
+        for (lo, hi, share) in [
+            (0, half, 0.5),
+            (7, half + 7, 0.5),
+            (0, (3 << 62) - 1, 0.25),
+            (u64::MAX - (3 << 62) + 1, u64::MAX, 0.25),
+        ] {
+            let mut r = Counted(StdRng::seed_from_u64(lo ^ hi), 0);
+            let calls = 4_000u64;
+            for _ in 0..calls {
+                let x = super::uniform_u64_inclusive(&mut r, lo, hi);
+                assert!((lo..=hi).contains(&x), "{x} outside [{lo}, {hi}]");
             }
-            calls += 64;
-            draws += a.1;
+            let rejected = (r.1 - calls) as f64 / r.1 as f64;
+            assert!(
+                (rejected - share).abs() < 0.03,
+                "[{lo}, {hi}] rejected {rejected:.3} of its draws, want ~{share}"
+            );
         }
-        // Each extra raw draw is one rejection.
-        assert!(draws - calls > 100, "only {} rejections", draws - calls);
+        let mut r = Counted(StdRng::seed_from_u64(42), 0);
+        let head: Vec<u64> = (0..6)
+            .map(|_| super::uniform_u64_inclusive(&mut r, 0, half))
+            .collect();
+        let want = vec![
+            9147776489032658738,
+            7099593415032875292,
+            6633989454467100377,
+            7022439175346172479,
+            2681029139591840946,
+            7388145106668446555,
+        ];
+        // Six values took 13 raw draws: 7 rejections.
+        assert_eq!((head, r.1), (want, 13));
     }
 
     #[test]

@@ -52,7 +52,7 @@ use crate::event::QueuedEvent;
 use crate::time::{Duration, Time};
 
 /// An event with its deterministic `(time, seq)` key.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Slot<E> {
     at: Time,
     seq: u64,

@@ -1,7 +1,7 @@
 //! Priority-queue comparison: the `std::collections::BinaryHeap`-backed
-//! [`EventQueue`] (the hex-clock models' queue and the calendar's test
-//! reference) versus the bounded-horizon [`CalendarQueue`] the HEX engine
-//! runs on, on simulation-shaped workloads.
+//! [`EventQueue`] (the calendar's test reference) versus the
+//! bounded-horizon [`CalendarQueue`] the HEX engine runs on, on
+//! simulation-shaped workloads.
 //!
 //! Three access patterns matter for a DES:
 //!

@@ -3,18 +3,14 @@
 //! The HEX grid needs "synchronized and well-separated" pulses at layer 0
 //! (Section 2). The paper's evaluation drives layer 0 with four scripted
 //! skew scenarios (Section 4.2) and only cites DARTS / FATAL⁺ [30, 31] for
-//! fault-tolerant pulse *generation*. This crate provides the scenarios,
-//! the pulse trains built from them, and one small generator:
+//! fault-tolerant pulse *generation*. This crate provides the scenarios
+//! and the pulse trains built from them:
 //!
 //! * [`scenario`] — the scripted scenarios (i)–(iv): layer-0 triggering
 //!   times all-zero, uniform in `[0, d-]`, uniform in `[0, d+]`, and the
 //!   ramp-by-`d+` worst case;
 //! * [`multipulse`] — pulse trains with a guaranteed separation time `S`
-//!   (Condition 2) for the self-stabilization experiments;
-//! * [`pulser`] — a self-contained **f-resilient threshold pulser**
-//!   (Srikanth–Toueg-style init/echo thresholds on a fully connected clique,
-//!   `n ≥ 3f+1`): a simplified stand-in for FATAL⁺ demonstrating an actual
-//!   synchronized multi-source layer 0, end to end.
+//!   (Condition 2) for the self-stabilization experiments.
 //!
 //! ```
 //! use hex_clock::{PulseTrain, Scenario};
@@ -44,9 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod multipulse;
-pub mod pulser;
 pub mod scenario;
 
 pub use multipulse::PulseTrain;
-pub use pulser::{ThresholdPulser, ThresholdPulserConfig};
 pub use scenario::Scenario;

@@ -184,15 +184,6 @@ impl<E> CalendarQueue<E> {
         self.buckets.iter().map(Vec::capacity).sum()
     }
 
-    /// Reserve capacity for at least `additional` more events, spread
-    /// across the ring.
-    pub fn reserve(&mut self, additional: usize) {
-        let per = additional.div_ceil(self.buckets.len());
-        for b in &mut self.buckets {
-            b.reserve(per);
-        }
-    }
-
     /// Map an instant onto the unsigned tick line: an order-preserving
     /// bias (`t ^ i64::MIN`) that puts `i64::MIN` at 0 and `i64::MAX` at
     /// `u64::MAX`. All bucket/window index math runs in this space so

@@ -140,12 +140,6 @@ impl<E> EventQueue<E> {
         self.heap.capacity()
     }
 
-    /// Reserve capacity for at least `additional` more events (no-op when
-    /// the existing allocation already suffices).
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
     /// Schedule `payload` at absolute time `at`.
     ///
     /// # Panics

@@ -87,13 +87,6 @@ impl Theorem1 {
         lemma4_intra_bound(layer, 0, self.potential0, self.delays)
     }
 
-    /// The paper's displayed transient relaxation `d+ + 2W·ε²/d+ + Δ₀`.
-    pub fn transient_intra_display(&self) -> Duration {
-        let eps = self.delays.uncertainty().ps();
-        let term = 2 * self.width as i64 * eps * eps / self.delays.hi.ps();
-        self.delays.hi + Duration::from_ps(term) + self.potential0
-    }
-
     /// The per-layer intra-layer bound `σℓ` of Theorem 1.
     pub fn intra(&self, layer: u32) -> Duration {
         assert!(layer >= 1 && layer <= self.length);
@@ -268,22 +261,6 @@ mod tests {
             lemma5_layer_bound(Duration::ZERO, 10, 1, paper())
                 < lemma5_layer_bound(Duration::ZERO, 30, 1, paper())
         );
-    }
-
-    #[test]
-    fn transient_display_form_close_to_exact() {
-        let t = Theorem1 {
-            width: 20,
-            length: 50,
-            delays: paper(),
-            potential0: Duration::ZERO,
-        };
-        // The displayed relaxation must upper-bound nothing less than the
-        // exact form at its widest applicable layer (2W−3) up to one ε of
-        // ceiling slack.
-        let exact = t.transient_intra(2 * 20 - 3);
-        let display = t.transient_intra_display();
-        assert!(display + EPSILON >= exact, "{display:?} vs {exact:?}");
     }
 
     proptest! {

@@ -7,11 +7,12 @@
 //!   \[19\]).
 //! * **Gradient (neighbor) skew**: the skew between *neighbors* cannot be
 //!   better than `Ω(ε·log D)` (Lenzen, Locher & Wattenhofer \[20\]).
-//! * **HEX's position**: Theorem 1 gives a neighbor skew of
-//!   `d+ + ⌈W·ε/d+⌉·ε = d+ + O(W·ε²/d+)` — the paper's `O(D·ε²)` claim
-//!   with `D` the grid width. HEX thus sits a factor ≈ `W·ε/(d+·log W)`
-//!   above the gradient lower bound, paying for constant-size state and
-//!   Byzantine tolerance.
+//! * **HEX's position**: Theorem 1
+//!   ([`theorem1_intra_bound`](crate::bounds::theorem1_intra_bound)) gives
+//!   a neighbor skew of `d+ + ⌈W·ε/d+⌉·ε = d+ + O(W·ε²/d+)` — the paper's
+//!   `O(D·ε²)` claim with `D` the grid width. HEX thus sits a factor
+//!   ≈ `W·ε/(d+·log W)` above the gradient lower bound, paying for
+//!   constant-size state and Byzantine tolerance.
 
 use hex_core::DelayRange;
 use hex_des::Duration;
@@ -39,26 +40,10 @@ pub fn gradient_skew_lower_bound(diameter: u32, delays: DelayRange) -> Duration 
     Duration::from_ps((delays.uncertainty().ps() as f64 * log).round() as i64)
 }
 
-/// HEX's Theorem-1 neighbor skew, expressed in the paper's `O(D·ε²)` form:
-/// the exact steady bound `d+ + ⌈W·ε/d+⌉·ε`.
-pub fn hex_neighbor_upper_bound(width: u32, delays: DelayRange) -> Duration {
-    crate::bounds::theorem1_intra_bound(width, delays)
-}
-
-/// The multiplicative gap between HEX's neighbor skew bound and the
-/// gradient lower bound — the price of constant local state and Byzantine
-/// tolerance. Returns `None` for degenerate diameters.
-pub fn hex_gradient_gap(length: u32, width: u32, delays: DelayRange) -> Option<f64> {
-    let lower = gradient_skew_lower_bound(hex_diameter(length, width), delays);
-    if lower.ps() <= 0 {
-        return None;
-    }
-    Some(hex_neighbor_upper_bound(width, delays).ps() as f64 / lower.ps() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::theorem1_intra_bound;
     use hex_core::{D_PLUS, EPSILON};
 
     fn paper() -> DelayRange {
@@ -83,7 +68,7 @@ mod tests {
         // on the paper's grid, stays below the *global* lower bound —
         // i.e. HEX neighbors are better synchronized than arbitrary pairs
         // can ever be.
-        let upper = hex_neighbor_upper_bound(20, paper());
+        let upper = theorem1_intra_bound(20, paper());
         let d = hex_diameter(50, 20);
         assert!(upper >= gradient_skew_lower_bound(d, paper()));
         assert!(upper <= global_skew_lower_bound(d, paper()));
@@ -93,7 +78,7 @@ mod tests {
     fn neighbor_bound_is_o_of_w_eps_squared() {
         // The O(D·ε²) shape: subtracting the d+ offset, the bound grows
         // ~linearly in W with slope ~ε²/d+.
-        let slope = |w: u32| (hex_neighbor_upper_bound(w, paper()) - D_PLUS).ps() as f64 / w as f64;
+        let slope = |w: u32| (theorem1_intra_bound(w, paper()) - D_PLUS).ps() as f64 / w as f64;
         let s_small = slope(32);
         let s_large = slope(256);
         let ideal = EPSILON.ps() as f64 * EPSILON.ps() as f64 / D_PLUS.ps() as f64;
@@ -106,18 +91,7 @@ mod tests {
     }
 
     #[test]
-    fn gap_grows_with_width() {
-        // The gradient gap W·ε/(d+·log W) grows with W: HEX trades
-        // asymptotic optimality for simplicity.
-        let g20 = hex_gradient_gap(50, 20, paper()).unwrap();
-        let g200 = hex_gradient_gap(50, 200, paper()).unwrap();
-        assert!(g200 > g20);
-        assert!(g20 > 1.0);
-    }
-
-    #[test]
     fn degenerate_diameter() {
         assert_eq!(gradient_skew_lower_bound(1, paper()), Duration::ZERO);
-        assert!(hex_gradient_gap(0, 2, paper()).is_none());
     }
 }

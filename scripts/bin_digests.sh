@@ -18,12 +18,13 @@ cd "$(dirname "$0")/.."
 out="${1:-BIN_DIGESTS.txt}"
 
 cargo build -q --release -p hex-bench --bins
+bin="${CARGO_TARGET_DIR:-target}/release"
 
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 for src in crates/hex-bench/src/bin/*.rs; do
   name="$(basename "$src" .rs)"
-  digest="$(env -u HEX_SEED -u HEX_EMIT HEX_RUNS=2 "target/release/$name" | sha256sum | cut -d' ' -f1)"
+  digest="$(env -u HEX_SEED -u HEX_EMIT HEX_RUNS=2 "$bin/$name" | sha256sum | cut -d' ' -f1)"
   echo "$digest  $name" >> "$tmp"
 done
 mv "$tmp" "$out"

@@ -18,9 +18,10 @@ runs="${HEX_RUNS:-10}"
 pulses=10
 
 cargo build -q --release --bin hexctl
+hexctl="${CARGO_TARGET_DIR:-target}/release/hexctl"
 
 campaign() { # campaign <regime> — JSON on stdout
-  HEX_RUNS="$runs" target/release/hexctl campaign --regime "$1" --pulses "$pulses"
+  HEX_RUNS="$runs" "$hexctl" campaign --regime "$1" --pulses "$pulses"
 }
 
 {

@@ -19,7 +19,7 @@
 //! |-------|----------|
 //! | [`des`] (`hex-des`) | deterministic discrete-event engine, ps time |
 //! | [`core`] (`hex-core`) | grid topology, node state machines, faults |
-//! | [`clock`] (`hex-clock`) | layer-0 scenarios, pulse trains, FT pulser |
+//! | [`clock`] (`hex-clock`) | layer-0 scenarios, pulse trains |
 //! | [`sim`] (`hex-sim`) | simulator, traces, `RunSpec` experiment builder, parallel batch runner |
 //! | [`analysis`] (`hex-analysis`) | skews, histograms, stabilization, causal paths |
 //! | [`theory`] (`hex-theory`) | Theorem 1 / Lemmas 2–5 / Condition 2, adversarial constructions |
@@ -117,7 +117,7 @@ pub mod prelude {
         DelayModel, DelayRange, FaultEvent, FaultPlan, FaultScript, FaultTransition, HexGrid,
         LinkBehavior, NodeFault, RejoinState, Timing, D_MINUS, D_PLUS, EPSILON,
     };
-    pub use hex_des::{CalendarQueue, Duration, EventQueue, Schedule, SimRng, Time};
+    pub use hex_des::{CalendarQueue, Duration, Schedule, SimRng, Time};
     pub use hex_sim::{
         assign_pulses, run_batch, run_batch_fold, run_batch_fold_with, simulate, simulate_into,
         simulate_observed_into, FaultRegime, InitState, PulseBinner, PulseView, Reducer,

@@ -1,5 +1,4 @@
-//! Guard ablation (behavioural side of `benches/ablation_guards.rs`):
-//! why the HEX guard demands two *adjacent* in-neighbors.
+//! Guard ablation: why the HEX guard demands two *adjacent* in-neighbors.
 
 use hexclock::core::graph::Role;
 use hexclock::core::PulseGraph;
@@ -105,10 +104,25 @@ fn any_two_guard_is_byzantine_forgeable() {
 
     let any_two = guarded_grid(l, w, &ANY_TWO);
     let trace = simulate(&any_two, &empty, &build_cfg(&any_two), 2);
+    // The stuck-1 side neighbors forge (2,4) into firing, and since they
+    // never let go it re-fires the moment each sleep ends: at least 4
+    // firings in 400 ns, each one sleep after the last. A wake that does
+    // not re-check the guard waits for a link timeout on top and stretches
+    // every gap past T+_sleep.
+    let victim = &trace.fires[id(w, 2, 4) as usize];
     assert!(
-        !trace.fires[id(w, 2, 4) as usize].is_empty(),
-        "any-two guard: (2,4) should be forged into firing by its stuck-1 side neighbors"
+        victim.len() >= 4,
+        "any-two guard: (2,4) should be forged into firing at every wake, fired {} times",
+        victim.len()
     );
+    let sleep = Timing::paper_scenario_iii().sleep;
+    for pair in victim.windows(2) {
+        let gap = pair[1].0 - pair[0].0;
+        assert!(
+            sleep.contains(gap),
+            "any-two guard: re-firing gap {gap:?} outside the sleep range {sleep:?}"
+        );
+    }
 
     let hex = guarded_grid(l, w, &HEX);
     let trace = simulate(&hex, &empty, &build_cfg(&hex), 2);
